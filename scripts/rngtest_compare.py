@@ -3,11 +3,9 @@
 
 Oracle selection:
   * If the system `rngtest` tool is on PATH (rng-tools), every corpus block is
-    piped through it one block at a time (prefixed with 4 bootstrap bytes that
-    rngtest consumes to prime its continuous-run state) and the per-test
-    failure lines are parsed into verdicts.
+    scored by it one block at a time (tests/reference_fips.rngtest_verdicts).
   * Otherwise the independent in-repo reference implementation
-    (tests/reference_fips.py) scores the corpus.
+    (tests/reference_fips.reference_verdicts) scores the corpus.
 
 Either way the script reports any disagreement with the shipped battery and
 rewrites tests/data/fips_golden.csv.
@@ -16,9 +14,7 @@ Usage: python scripts/rngtest_compare.py [--use-reference] [--out PATH]
 """
 
 import argparse
-import re
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -26,48 +22,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tests"))
 
 from golden_blocks import golden_corpus  # noqa: E402
-from reference_fips import reference_verdicts  # noqa: E402
+from reference_fips import reference_verdicts, rngtest_verdicts  # noqa: E402
 
-from jitterseed.fips import fips_block_tests  # noqa: E402
-
-TESTS = ("monobit", "poker", "runs", "long_run")
-
-_RNGTEST_LINES = {
-    "monobit": re.compile(r"Monobit: (\d+)"),
-    "poker": re.compile(r"Poker: (\d+)"),
-    "runs": re.compile(r"Runs: (\d+)"),
-    "long_run": re.compile(r"Long run: (\d+)"),
-}
-
-
-def rngtest_verdicts(block: bytes) -> dict[str, bool]:
-    # First 32 bits bootstrap rngtest's continuous-run state and are not
-    # tested; pick them so they cannot collide with the block's first word.
-    bootstrap = bytes(b ^ 0xFF for b in block[:4])
-    proc = subprocess.run(
-        ["rngtest", "-c", "1"],
-        input=bootstrap + block,
-        capture_output=True,
-        check=False,
-    )
-    text = proc.stderr.decode()
-    verdicts = {}
-    for name, pattern in _RNGTEST_LINES.items():
-        match = pattern.search(text)
-        if match is None:
-            raise RuntimeError(f"could not parse rngtest output:\n{text}")
-        verdicts[name] = int(match.group(1)) == 0
-    return verdicts
-
-
-def battery_verdicts(block: bytes) -> dict[str, bool]:
-    result = fips_block_tests(block)
-    return {
-        "monobit": result.monobit_pass,
-        "poker": result.poker_pass,
-        "runs": result.runs_pass,
-        "long_run": result.long_run_pass,
-    }
+from jitterseed.fips import BLOCK_CSV_HEADER, fips_block_tests  # noqa: E402
 
 
 def main() -> int:
@@ -82,23 +39,22 @@ def main() -> int:
     print(f"oracle: {'system rngtest' if use_rngtest else 'in-repo reference'}",
           file=sys.stderr)
 
-    corpus = golden_corpus()
     rows = []
     mismatches = 0
-    for index, block in enumerate(corpus):
+    for index, block in enumerate(golden_corpus()):
         expected = oracle(block)
-        got = battery_verdicts(block)
+        got = fips_block_tests(block).verdicts
         if expected != got:
             mismatches += 1
             print(f"MISMATCH block {index}: oracle={expected} battery={got}",
                   file=sys.stderr)
-        flags = [expected[name] for name in TESTS]
+        flags = list(expected.values())
         rows.append([index, *map(int, flags), int(all(flags))])
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as handle:
-        handle.write("block,monobit,poker,runs,longrun,pass\n")
+        handle.write(BLOCK_CSV_HEADER + "\n")
         for row in rows:
             handle.write(",".join(map(str, row)) + "\n")
 

@@ -8,9 +8,11 @@ knows the n_top hottest values still faces n_top^samples orderings.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -141,15 +143,18 @@ def meets_seed_standard(estimate: EntropyEstimate, standard_bits: int = SEED_STA
     return estimate.bits >= standard_bits
 
 
+def _text_sink(sink):
+    """Open a path for text writing, or pass an open handle through unclosed."""
+    if isinstance(sink, (str, bytes, os.PathLike)):
+        return open(sink, "w", newline="")
+    return contextlib.nullcontext(sink)
+
+
 def write_value_log(trace, sink) -> None:
     """One decimal delta per line, in collection order."""
-    samples = getattr(trace, "samples", trace)
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w") as handle:
-            write_value_log(samples, handle)
-        return
-    for value in samples:
-        sink.write(f"{value}\n")
+    with _text_sink(sink) as handle:
+        for value in _samples_of(trace):
+            handle.write(f"{value}\n")
 
 
 def read_value_log(path) -> list[int]:
@@ -159,13 +164,10 @@ def read_value_log(path) -> list[int]:
 
 def write_histogram_csv(report: DistributionReport, sink) -> None:
     """Full histogram as CSV, rows sorted by count desc then value asc."""
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w", newline="") as handle:
-            write_histogram_csv(report, handle)
-        return
-    writer = csv.writer(sink)
-    writer.writerow(HISTOGRAM_CSV_HEADER)
-    writer.writerows(_ranked(report.histogram))
+    with _text_sink(sink) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(HISTOGRAM_CSV_HEADER)
+        writer.writerows(_ranked(report.histogram))
 
 
 def read_histogram_csv(path) -> dict[int, int]:
@@ -207,9 +209,6 @@ def report_document(timer_spec, config, report: DistributionReport, tuning: dict
 
 
 def write_json_report(document: dict, sink) -> None:
-    if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
-        with open(sink, "w") as handle:
-            write_json_report(document, handle)
-        return
-    json.dump(document, sink, indent=2)
-    sink.write("\n")
+    with _text_sink(sink) as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")

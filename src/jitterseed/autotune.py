@@ -14,9 +14,9 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 from .collector import CollectorConfig, collect_trace, distinct_count, kernel
+from .conditioner import DEFAULT_QUALITY_FLOOR
 from .timer import TimerSpec, default_clock, probe_resolution
 
-DEFAULT_TUNE_FLOOR = 20
 DEFAULT_BUDGET_NS = 5_000_000_000
 PROBE_RUNS_PER_SCALE = 3
 
@@ -57,7 +57,7 @@ def tune(
     base: CollectorConfig,
     clock=None,
     timer_spec: TimerSpec | None = None,
-    floor: int = DEFAULT_TUNE_FLOOR,
+    floor: int = DEFAULT_QUALITY_FLOOR,
     budget_ns: int = DEFAULT_BUDGET_NS,
 ) -> TuneResult:
     """Find the smallest power-of-two multiple of base.scale meeting `floor`.
@@ -111,23 +111,3 @@ def tune(
         elapsed_ns=time.perf_counter_ns() - started,
         verdict=verdict,
     )
-
-
-def write_tune_config(result: TuneResult, path) -> None:
-    """Persist the tuned collection config as key=value text."""
-    config = result.config
-    with open(path, "w") as handle:
-        for key in ("val1", "val2", "samples", "scale", "stretch"):
-            handle.write(f"{key}={getattr(config, key)}\n")
-
-
-def read_tune_config(path) -> CollectorConfig:
-    fields = {}
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = int(value.strip())
-    return CollectorConfig(**fields)

@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 operational failure (insufficient entropy, stuck
-clock, unattainable tuning, short stream), 2 usage error. Seed bytes go to
-the chosen sink and nothing else ever shares it: when seeding to stdout, all
-summaries and diagnostics go to stderr.
+clock, unattainable tuning, short stream, file I/O), 2 usage error, including
+out-of-range option values. Seed bytes go to the chosen sink and nothing else
+ever shares it: when seeding to stdout, all summaries and diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,10 +23,40 @@ from .errors import SeederError, ShortStreamError
 from .timer import SimulatedClock, default_clock, probe_resolution
 
 
+def _int_at_least(minimum: int):
+    """Argparse type for an integer >= minimum; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--floor",
+        type=_int_at_least(2),
+        default=DEFAULT_QUALITY_FLOOR,
+        help="minimum distinct deltas required (fail-closed)",
+    )
+    parser.add_argument(
+        "--budget-ms", type=_int_at_least(1), default=5000, help="tuning time budget"
+    )
+
+
 def _add_sim_flag(parser: argparse.ArgumentParser) -> None:
     # Test hook: replace the real clock with a quantized one.
     parser.add_argument(
-        "--simulate-quantum-ns", type=int, default=None, help=argparse.SUPPRESS
+        "--simulate-quantum-ns",
+        type=_int_at_least(1),
+        default=None,
+        help=argparse.SUPPRESS,
     )
 
 
@@ -47,6 +79,20 @@ def _config_from(args) -> CollectorConfig:
 
 def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
+
+
+def _write_bytes(payload: bytes, path) -> None:
+    """Write every byte of payload to path, or to stdout when path is None.
+
+    A pipe whose reader has gone can take part of a write without raising;
+    the loop's next write then raises BrokenPipeError instead of losing bytes.
+    """
+    target = open(path, "wb") if path else contextlib.nullcontext(sys.stdout.buffer)
+    with target as sink:
+        view = memoryview(payload)
+        while view:
+            view = view[sink.write(view) :]
+        sink.flush()
 
 
 def cmd_seed(args) -> int:
@@ -77,12 +123,7 @@ def cmd_seed(args) -> int:
     seed = condition(trace, quality_floor=args.floor)
 
     payload = seed.hex().encode() + b"\n" if args.hex else seed.to_bytes()
-    if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    _write_bytes(payload, args.out)
 
     note = f" after tuning to scale={config.scale}" if tuning else ""
     print(
@@ -103,8 +144,6 @@ def cmd_tune(args) -> int:
         budget_ns=args.budget_ms * 1_000_000,
     )
     _emit_json(result.to_dict())
-    if args.save_config:
-        autotune.write_tune_config(result, args.save_config)
     if result.verdict is autotune.TuneVerdict.UNATTAINABLE:
         print("error: tuning unattainable within budget", file=sys.stderr)
         return 1
@@ -170,13 +209,7 @@ def cmd_fips(args) -> int:
 
 
 def cmd_mk0(args) -> int:
-    data = mk0_stream(args.count)
-    if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    _write_bytes(mk0_stream(args.count), args.out)
     return 0
 
 
@@ -198,31 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--scale", type=int, default=None, help="kernel repeat count per sample")
     seed.add_argument("--samples", type=int, default=None, help="timed runs per trace")
     seed.add_argument("--stretch", type=int, default=None, help="extra digest links")
-    seed.add_argument(
-        "--floor",
-        type=int,
-        default=DEFAULT_QUALITY_FLOOR,
-        help="minimum distinct deltas required (fail-closed)",
-    )
     seed.add_argument("--tune", action="store_true", help="autotune scale first")
-    seed.add_argument(
-        "--budget-ms", type=int, default=5000, help="tuning time budget (with --tune)"
-    )
+    _add_floor_budget(seed)
     seed.add_argument("--out", default=None, help="write seed bytes to this file")
     seed.add_argument("--hex", action="store_true", help="emit lowercase hex text")
     _add_sim_flag(seed)
     seed.set_defaults(func=cmd_seed)
 
     tune = sub.add_parser("tune", help="find the smallest adequate scale")
-    tune.add_argument("--floor", type=int, default=autotune.DEFAULT_TUNE_FLOOR)
-    tune.add_argument("--budget-ms", type=int, default=5000)
-    tune.add_argument("--save-config", default=None, help="persist tuned config (key=value)")
+    _add_floor_budget(tune)
     _add_sim_flag(tune)
     tune.set_defaults(func=cmd_tune)
 
     analyze = sub.add_parser("analyze", help="collect traces and report the delta distribution")
     analyze.add_argument("--runs", type=int, default=30, help="collection runs to aggregate")
-    analyze.add_argument("--k", type=int, default=analysis.DEFAULT_TOP_K)
+    analyze.add_argument("--k", type=_int_at_least(1), default=analysis.DEFAULT_TOP_K)
     analyze.add_argument("--log", default=None, help="raw value log path")
     analyze.add_argument("--csv", default=None, help="histogram CSV path")
     analyze.add_argument("--json", default=None, help="JSON report path")
@@ -233,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     fips_cmd.add_argument("source", metavar="FILE", help="input file, or - for stdin")
     fips_cmd.add_argument(
         "--blocks",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="exact block count (default: all complete blocks until EOF)",
     )
@@ -244,12 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     fips_cmd.set_defaults(func=cmd_fips)
 
     mk0 = sub.add_parser("mk0", help="emit the reference counter-hash stream")
-    mk0.add_argument("--count", type=int, default=100000, help="number of 32-byte digests")
+    mk0.add_argument(
+        "--count", type=_int_at_least(1), default=100000, help="number of 32-byte digests"
+    )
     mk0.add_argument("--out", default=None, help="write stream to this file")
     mk0.set_defaults(func=cmd_mk0)
 
     probe = sub.add_parser("probe", help="measure the timer's empirical resolution")
-    probe.add_argument("--reads", type=int, default=1000)
+    probe.add_argument("--reads", type=_int_at_least(2), default=1000)
     _add_sim_flag(probe)
     probe.set_defaults(func=cmd_probe)
 
@@ -272,6 +297,9 @@ def run_cli(argv=None) -> int:
         # devnull so interpreter shutdown does not trip over it again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

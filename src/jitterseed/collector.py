@@ -75,14 +75,11 @@ def collect_trace(
     config: CollectorConfig,
     clock=None,
     timer_spec: TimerSpec | None = None,
-    tap=None,
 ) -> TimingTrace:
     """Time `config.samples` kernel runs and return the ordered deltas.
 
     Probes the clock first unless a TimerSpec is supplied. Holds the
-    process-wide collection lock for the whole timed section. If `tap` is
-    given, each delta is written to it as one decimal per line, in collection
-    order, after timing finishes (so logging cannot perturb the measurement).
+    process-wide collection lock for the whole timed section.
     """
     config.validate()
     if clock is None:
@@ -109,10 +106,6 @@ def collect_trace(
                 )
             deltas[i] = delta
             checksum = (checksum + a1) & _U64
-
-    if tap is not None:
-        for delta in deltas:
-            tap.write(f"{delta}\n")
 
     return TimingTrace(
         samples=tuple(deltas),

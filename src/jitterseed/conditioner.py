@@ -58,7 +58,6 @@ def _fingerprint(trace: TimingTrace) -> str:
 def condition(
     trace: TimingTrace,
     quality_floor: int = DEFAULT_QUALITY_FLOOR,
-    hash_factory=hashlib.sha256,
 ) -> SeedOutput:
     """Hash and stretch a trace into seed material, or refuse outright.
 
@@ -76,9 +75,9 @@ def condition(
         )
 
     serialized = serialize_trace(trace)
-    digests = [hash_factory(serialized).digest()]
+    digests = [hashlib.sha256(serialized).digest()]
     for _ in range(trace.config.stretch):
-        digests.append(hash_factory(digests[-1] + serialized).digest())
+        digests.append(hashlib.sha256(digests[-1] + serialized).digest())
 
     return SeedOutput(digests=tuple(digests), source_fingerprint=_fingerprint(trace))
 

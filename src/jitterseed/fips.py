@@ -36,6 +36,9 @@ RUN_INTERVALS = ((2315, 2685), (1114, 1386), (527, 723), (240, 384), (103, 209),
 # Any run of 26 or more identical bits fails the long-run test.
 LONG_RUN_BITS = 26
 
+# The four block tests, in battery order; each names its `<name>_pass` field.
+BATTERY_TESTS = ("monobit", "poker", "runs", "long_run")
+
 BLOCK_CSV_HEADER = "block,monobit,poker,runs,longrun,pass"
 
 
@@ -56,14 +59,16 @@ class FipsBlockResult:
     continuous_pass: bool | None = None
 
     @property
+    def verdicts(self) -> dict[str, bool]:
+        """Pass flag per test name; `continuous` only when that check ran."""
+        table = {name: getattr(self, f"{name}_pass") for name in BATTERY_TESTS}
+        if self.continuous_pass is not None:
+            table["continuous"] = self.continuous_pass
+        return table
+
+    @property
     def passed(self) -> bool:
-        core = (
-            self.monobit_pass
-            and self.poker_pass
-            and self.runs_pass
-            and self.long_run_pass
-        )
-        return core and self.continuous_pass is not False
+        return all(self.verdicts.values())
 
 
 @dataclass(frozen=True)
@@ -101,12 +106,9 @@ def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
     lengths = np.diff(np.concatenate((starts, [bits.size])))
     values = bits[starts]
 
-    counts = [[0] * 6, [0] * 6]
-    for bit_value in (0, 1):
-        run_lengths = lengths[values == bit_value]
-        for length in range(1, 6):
-            counts[bit_value][length - 1] = int((run_lengths == length).sum())
-        counts[bit_value][5] = int((run_lengths >= 6).sum())
+    # Bucket 6*bit + min(length, 6) - 1: zero-runs in 0..5, one-runs in 6..11.
+    buckets = 6 * values + np.minimum(lengths, 6) - 1
+    counts = np.bincount(buckets, minlength=12).reshape(2, 6).tolist()
     runs_pass = all(
         lo <= counts[bit_value][i] <= hi
         for bit_value in (0, 1)
@@ -131,13 +133,9 @@ def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
 
 def _repeated_word(block: bytes, last_word: bytes | None) -> tuple[bool, bytes]:
     """Scan consecutive 32-bit words (carrying across blocks) for a repeat."""
-    repeated = False
-    for offset in range(0, len(block), 4):
-        word = block[offset : offset + 4]
-        if word == last_word:
-            repeated = True
-        last_word = word
-    return repeated, last_word
+    words = np.frombuffer(block, dtype=">u4")
+    repeated = block[:4] == last_word or bool((words[1:] == words[:-1]).any())
+    return repeated, block[-4:]
 
 
 def fips_pass_rate(
@@ -159,7 +157,7 @@ def fips_pass_rate(
         raise ValueError(f"blocks must be >= 1, got {blocks}")
     stream = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
 
-    failures = {"monobit": 0, "poker": 0, "runs": 0, "long_run": 0}
+    failures = dict.fromkeys(BATTERY_TESTS, 0)
     if continuous_check:
         failures["continuous"] = 0
     tested = 0
@@ -188,19 +186,12 @@ def fips_pass_rate(
         if continuous_check:
             repeated, last_word = _repeated_word(block, last_word)
             result = replace(result, continuous_pass=not repeated)
-            if repeated:
-                failures["continuous"] += 1
         tested += 1
         if result.passed:
             passed += 1
-        if not result.monobit_pass:
-            failures["monobit"] += 1
-        if not result.poker_pass:
-            failures["poker"] += 1
-        if not result.runs_pass:
-            failures["runs"] += 1
-        if not result.long_run_pass:
-            failures["long_run"] += 1
+        for name, ok in result.verdicts.items():
+            if not ok:
+                failures[name] += 1
         if block_sink is not None:
             block_sink(result)
 
@@ -221,11 +212,5 @@ def summary_line(report: FipsRateReport) -> str:
 
 
 def block_csv_row(result: FipsBlockResult) -> str:
-    flags = (
-        result.monobit_pass,
-        result.poker_pass,
-        result.runs_pass,
-        result.long_run_pass,
-        result.passed,
-    )
+    flags = [result.verdicts[name] for name in BATTERY_TESTS] + [result.passed]
     return f"{result.block_index}," + ",".join(str(int(f)) for f in flags)

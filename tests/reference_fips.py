@@ -3,8 +3,12 @@
 Bit-at-a-time, float poker statistic, naive run walking: slow but transparent
 against the published test definitions. Verdicts from here are compared
 verdict-for-verdict with the production implementation and frozen into the
-golden CSV replayed by the acceptance suite.
+golden CSV replayed by the acceptance suite. rngtest_verdicts scores a block
+with the system `rngtest` tool (rng-tools) instead, as a second oracle.
 """
+
+import re
+import subprocess
 
 BLOCK_BYTES = 2500
 
@@ -64,3 +68,29 @@ def reference_verdicts(block: bytes) -> dict[str, bool]:
     long_run = longest < 26
 
     return {"monobit": monobit, "poker": poker, "runs": runs, "long_run": long_run}
+
+
+_RNGTEST_LINES = {
+    "monobit": re.compile(r"Monobit: (\d+)"),
+    "poker": re.compile(r"Poker: (\d+)"),
+    "runs": re.compile(r"Runs: (\d+)"),
+    "long_run": re.compile(r"Long run: (\d+)"),
+}
+
+
+def rngtest_verdicts(block: bytes) -> dict[str, bool]:
+    """The same four verdicts, from one `rngtest -c 1` run over the block."""
+    # rngtest consumes the first 32 bits to prime its continuous-run state and
+    # does not test them; prefix bytes that cannot equal the block's first word.
+    bootstrap = bytes(b ^ 0xFF for b in block[:4])
+    proc = subprocess.run(
+        ["rngtest", "-c", "1"], input=bootstrap + block, capture_output=True
+    )
+    text = proc.stderr.decode()
+    verdicts = {}
+    for name, pattern in _RNGTEST_LINES.items():
+        match = pattern.search(text)
+        if match is None:
+            raise RuntimeError(f"could not parse rngtest output:\n{text}")
+        verdicts[name] = int(match.group(1)) == 0
+    return verdicts

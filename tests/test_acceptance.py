@@ -7,15 +7,14 @@ the measured figures (visible with pytest -s), and asserts the same condition.
 import csv
 import json
 import random
-import re
 import shutil
-import subprocess
 import time
 from pathlib import Path
 
 import reference_sha256
 from helpers import make_trace
 from golden_blocks import golden_corpus
+from reference_fips import rngtest_verdicts
 from jitterseed.analysis import (
     SEED_STANDARD_BITS,
     aggregate_distribution,
@@ -32,7 +31,13 @@ from jitterseed.autotune import TuneVerdict, tune
 from jitterseed.cli import run_cli
 from jitterseed.collector import CollectorConfig, collect_trace, distinct_count
 from jitterseed.conditioner import condition, mk0_stream, serialize_trace
-from jitterseed.fips import BLOCK_BYTES, fips_block_tests, fips_pass_rate
+from jitterseed.fips import (
+    BLOCK_BYTES,
+    BLOCK_CSV_HEADER,
+    block_csv_row,
+    fips_block_tests,
+    fips_pass_rate,
+)
 from jitterseed.timer import SimulatedClock, default_clock, probe_resolution
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -57,64 +62,25 @@ def test_criterion_1_reference_stream_pass_rate():
     check(1, ok, f"rate={report.pass_rate:.6f} over 5000 blocks in {elapsed:.1f}s")
 
 
-def _battery_flags(block: bytes) -> tuple[bool, bool, bool, bool]:
-    result = fips_block_tests(block)
-    return (
-        result.monobit_pass,
-        result.poker_pass,
-        result.runs_pass,
-        result.long_run_pass,
-    )
-
-
-_RNGTEST_LINES = {
-    name: re.compile(pattern)
-    for name, pattern in (
-        ("monobit", r"Monobit: (\d+)"),
-        ("poker", r"Poker: (\d+)"),
-        ("runs", r"Runs: (\d+)"),
-        ("long_run", r"Long run: (\d+)"),
-    )
-}
-
-
-def _rngtest_flags(block: bytes) -> tuple[bool, bool, bool, bool]:
-    # rngtest consumes the first 32 bits to prime its continuous-run state;
-    # prefix bytes that cannot equal the block's first word.
-    bootstrap = bytes(b ^ 0xFF for b in block[:4])
-    proc = subprocess.run(
-        ["rngtest", "-c", "1"], input=bootstrap + block, capture_output=True
-    )
-    text = proc.stderr.decode()
-    flags = []
-    for name in ("monobit", "poker", "runs", "long_run"):
-        match = _RNGTEST_LINES[name].search(text)
-        assert match is not None, f"unparseable rngtest output:\n{text}"
-        flags.append(int(match.group(1)) == 0)
-    return tuple(flags)
-
-
 def test_criterion_2_per_block_verdicts_match_external_tool():
     corpus = golden_corpus()
-    with open(DATA_DIR / "fips_golden.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
+    header, *rows = (DATA_DIR / "fips_golden.csv").read_text().splitlines()
+    assert header == BLOCK_CSV_HEADER
     assert len(rows) == len(corpus) >= 100
 
-    golden_mismatches = 0
-    for index, (row, block) in enumerate(zip(rows, corpus)):
-        assert int(row["block"]) == index
-        expected = tuple(
-            row[name] == "1" for name in ("monobit", "poker", "runs", "longrun")
-        )
-        if _battery_flags(block) != expected:
-            golden_mismatches += 1
+    # Each golden row holds block index, all four flags and the overall pass.
+    results = [fips_block_tests(block, index) for index, block in enumerate(corpus)]
+    golden_mismatches = sum(
+        block_csv_row(result) != row for result, row in zip(results, rows)
+    )
 
     live = shutil.which("rngtest") is not None
     live_mismatches = 0
     if live:
-        for block in corpus:
-            if _battery_flags(block) != _rngtest_flags(block):
-                live_mismatches += 1
+        live_mismatches = sum(
+            result.verdicts != rngtest_verdicts(block)
+            for result, block in zip(results, corpus)
+        )
 
     ok = golden_mismatches == 0 and live_mismatches == 0
     oracle = "rngtest+golden" if live else "golden replay"

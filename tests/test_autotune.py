@@ -5,15 +5,13 @@ import pytest
 from helpers import TEST_TIMER, FrozenClock, ScriptedClock, delta_script
 from jitterseed.autotune import (
     DEFAULT_BUDGET_NS,
-    DEFAULT_TUNE_FLOOR,
     PROBE_RUNS_PER_SCALE,
     TuneResult,
     TuneVerdict,
-    read_tune_config,
     tune,
-    write_tune_config,
 )
 from jitterseed.collector import CollectorConfig
+from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR
 from jitterseed.errors import InvalidConfigError, StuckClockError
 from jitterseed.timer import SimulatedClock
 
@@ -29,7 +27,7 @@ def test_validation_rejects_bad_arguments():
 
 
 def test_defaults():
-    assert DEFAULT_TUNE_FLOOR == 20
+    assert DEFAULT_QUALITY_FLOOR == 20
     assert DEFAULT_BUDGET_NS == 5_000_000_000
     assert PROBE_RUNS_PER_SCALE == 3
 
@@ -120,9 +118,9 @@ def test_coarse_simulated_clock_unattainable():
 
 
 def test_real_clock_meets_default_floor():
-    result = tune(CollectorConfig(), floor=DEFAULT_TUNE_FLOOR)
+    result = tune(CollectorConfig(), floor=DEFAULT_QUALITY_FLOOR)
     assert result.verdict in (TuneVerdict.TUNED, TuneVerdict.ALREADY_ADEQUATE)
-    assert result.achieved_distinct >= DEFAULT_TUNE_FLOOR
+    assert result.achieved_distinct >= DEFAULT_QUALITY_FLOOR
     assert result.config.scale >= CollectorConfig().scale
     assert result.probe_runs % PROBE_RUNS_PER_SCALE == 0
     assert 0 < result.elapsed_ns
@@ -145,28 +143,3 @@ def test_result_serializes_to_json():
     assert payload["verdict"] == "tuned"
     assert payload["config"]["scale"] == 16
     assert payload["probe_runs"] == 6
-
-
-def test_config_file_round_trip(tmp_path):
-    result = TuneResult(
-        config=CollectorConfig(val1=7, val2=9, samples=50, scale=4000, stretch=10),
-        probe_runs=9,
-        achieved_distinct=23,
-        elapsed_ns=5,
-        verdict=TuneVerdict.TUNED,
-    )
-    path = tmp_path / "tuned.conf"
-    write_tune_config(result, path)
-    text = path.read_text()
-    assert "scale=4000" in text
-    assert read_tune_config(path) == result.config
-
-
-def test_config_file_ignores_comments_and_blanks(tmp_path):
-    path = tmp_path / "tuned.conf"
-    path.write_text(
-        "# tuned by hand\n\nval1=1\nval2=2\nsamples=3\nscale=4\nstretch=5\n"
-    )
-    assert read_tune_config(path) == CollectorConfig(
-        val1=1, val2=2, samples=3, scale=4, stretch=5
-    )

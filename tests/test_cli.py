@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from jitterseed.autotune import read_tune_config
 from jitterseed.cli import run_cli
 from jitterseed.conditioner import mk0_stream
 
@@ -111,13 +110,6 @@ def test_tune_emits_json(capsys):
     assert payload["verdict"] in ("tuned", "already-adequate")
     assert payload["achieved_distinct"] >= 20
     assert payload["config"]["scale"] >= 250
-
-
-def test_tune_save_config(tmp_path, capsys):
-    path = tmp_path / "tuned.conf"
-    assert run_cli(["tune", "--save-config", str(path)]) == 0
-    saved = read_tune_config(path)
-    assert saved.scale == json.loads(capsys.readouterr().out)["config"]["scale"]
 
 
 def test_tune_unattainable_exits_one_with_json(capsys):
@@ -269,6 +261,36 @@ def test_pipeline_mk0_into_fips():
     match = SUMMARY_RE.match(proc.stdout.strip())
     assert match
     assert float(match.group(3)) >= 0.992
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["mk0", "--count", "0", "--out", "{out}"], 2),
+        (["fips", "--blocks", "0", "-"], 2),
+        (["fips", "{missing}"], 1),
+        (["probe", "--reads", "1"], 2),
+        (["probe", "--simulate-quantum-ns", "0"], 2),
+        (["analyze", "--k", "0"], 2),
+        (["seed", "--floor", "-1", "--out", "{out}"], 2),
+        (["seed", "--tune", "--floor", "1", "--out", "{out}"], 2),
+        (["seed", "--floor", "1", "--simulate-quantum-ns", "16000000", "--stretch", "0", "--hex"], 2),
+        (["seed", "--out", "{missing}/seed.bin"], 1),
+        (["tune", "--budget-ms", "0"], 2),
+    ],
+)
+def test_bad_input_exits_cleanly(tmp_path, argv, code):
+    out = tmp_path / "out.bin"
+    missing = tmp_path / "missing"
+    argv = [arg.format(out=out, missing=missing) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "jitterseed", *argv], capture_output=True, timeout=60
+    )
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert b"error:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert not out.exists() and not missing.exists()
 
 
 def test_mk0_broken_pipe_exits_one():

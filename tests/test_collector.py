@@ -72,15 +72,13 @@ def test_collect_trace_keeps_zero_deltas():
     assert trace.samples == (0, 0, 7, 0)
 
 
-def test_tap_matches_samples_and_value_log():
-    deltas = [42, 0, 42, 9000]
-    clock = ScriptedClock(delta_script(deltas))
-    tap = io.StringIO()
-    trace = collect_trace(CollectorConfig(samples=4, scale=1), clock, TEST_TIMER, tap=tap)
-    assert [int(line) for line in tap.getvalue().splitlines()] == list(trace.samples)
+def test_value_log_to_open_handle_keeps_collection_order():
+    clock = ScriptedClock(delta_script([42, 0, 42, 9000]))
+    trace = collect_trace(CollectorConfig(samples=4, scale=1), clock, TEST_TIMER)
     log = io.StringIO()
     write_value_log(trace, log)
-    assert log.getvalue() == tap.getvalue()
+    assert not log.closed  # a handle sink is the caller's to close
+    assert log.getvalue() == "42\n0\n42\n9000\n"
 
 
 def test_collect_trace_rejects_non_monotonic_clock():

@@ -148,15 +148,6 @@ def test_fingerprint_covers_provenance_not_digests():
     assert seed_a.source_fingerprint != seed_b.source_fingerprint
 
 
-def test_hash_factory_is_injectable():
-    trace = make_trace(range(1, 101), stretch=1)
-    seed = condition(trace, hash_factory=hashlib.sha1)
-    blob = serialize_trace(trace)
-    assert seed.digests[0] == hashlib.sha1(blob).digest()
-    assert seed.digests[1] == hashlib.sha1(seed.digests[0] + blob).digest()
-    assert seed.total_bytes == 40
-
-
 def test_avalanche_smoke():
     rng = random.Random(11)
     fractions = []

@@ -1,7 +1,11 @@
 import io
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +22,53 @@ from jitterseed.errors import ShortStreamError, WrongBlockSizeError
 from jitterseed.fips import (
     BLOCK_CSV_HEADER,
     FipsBlockResult,
+    _repeated_word,
     block_csv_row,
     fips_block_tests,
     fips_pass_rate,
     summary_line,
 )
 from reference_fips import reference_verdicts
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def loop_run_counts(block: bytes):
+    """Run tally and longest run as the battery first computed them: one
+    masked sum per (bit, length) bucket."""
+    bits = np.unpackbits(np.frombuffer(block, dtype=np.uint8))
+    starts = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1))
+    lengths = np.diff(np.concatenate((starts, [bits.size])))
+    values = bits[starts]
+    counts = [[0] * 6, [0] * 6]
+    for bit_value in (0, 1):
+        run_lengths = lengths[values == bit_value]
+        for length in range(1, 6):
+            counts[bit_value][length - 1] = int((run_lengths == length).sum())
+        counts[bit_value][5] = int((run_lengths >= 6).sum())
+    return (tuple(counts[0]), tuple(counts[1])), int(lengths.max())
+
+
+def loop_repeated_word(block: bytes, last_word):
+    """The word-at-a-time continuous check the battery first used."""
+    repeated = False
+    for offset in range(0, len(block), 4):
+        word = block[offset : offset + 4]
+        if word == last_word:
+            repeated = True
+        last_word = word
+    return repeated, last_word
+
+
+def crafted_repeat_blocks() -> list[bytes]:
+    """Blocks whose only repeated word pair sits at the start, middle or end."""
+    clean = mk0_stream(79)[:2500]
+    blocks = []
+    for offset in (4, 1248, 2496):
+        block = bytearray(clean)
+        block[offset : offset + 4] = block[offset - 4 : offset]
+        blocks.append(bytes(block))
+    return blocks
 
 
 def test_block_size_is_20000_bits():
@@ -230,3 +275,70 @@ def test_battery_agrees_with_reference_on_arbitrary_blocks(data):
     assert result.poker_pass == expected["poker"]
     assert result.runs_pass == expected["runs"]
     assert result.long_run_pass == expected["long_run"]
+
+
+def test_run_counts_match_loop_reference():
+    rng = random.Random(715)
+    blocks = golden_corpus() + crafted_repeat_blocks()
+    blocks += [rng.randbytes(2500) for _ in range(20)]
+    for block in blocks:
+        result = fips_block_tests(block)
+        assert (result.run_counts, result.max_run) == loop_run_counts(block)
+
+
+def test_repeated_word_matches_loop_reference():
+    blocks = golden_corpus() + crafted_repeat_blocks()
+    for block in blocks:
+        carried = (None, block[:4], block[-4:], bytes(b ^ 0xFF for b in block[:4]))
+        for last_word in carried:
+            assert _repeated_word(block, last_word) == loop_repeated_word(
+                block, last_word
+            )
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_failure_tally_matches_per_block_flags(continuous):
+    corpus = golden_corpus() + crafted_repeat_blocks()
+    seen = []
+    report = fips_pass_rate(
+        b"".join(corpus),
+        blocks=len(corpus),
+        continuous_check=continuous,
+        block_sink=seen.append,
+    )
+    expected = {
+        "monobit": sum(not r.monobit_pass for r in seen),
+        "poker": sum(not r.poker_pass for r in seen),
+        "runs": sum(not r.runs_pass for r in seen),
+        "long_run": sum(not r.long_run_pass for r in seen),
+    }
+    if continuous:
+        expected["continuous"] = sum(r.continuous_pass is False for r in seen)
+        assert expected["continuous"] > 0
+    assert report.failures == expected
+    assert report.blocks_passed == sum(
+        r.monobit_pass
+        and r.poker_pass
+        and r.runs_pass
+        and r.long_run_pass
+        and r.continuous_pass is not False
+        for r in seen
+    )
+
+
+def test_rngtest_compare_reference_regenerates_golden_csv(tmp_path):
+    out = tmp_path / "golden.csv"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(REPO / "scripts" / "rngtest_compare.py"),
+            "--use-reference",
+            "--out",
+            str(out),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (REPO / "tests" / "data" / "fips_golden.csv").read_bytes()
