@@ -31,10 +31,22 @@ from .errors import (
     UnsupportedClockError,
     WrongBlockSizeError,
 )
-from .fips import FipsBlockResult, FipsRateReport, fips_block_tests, fips_pass_rate
 from .timer import SimulatedClock, TimerSpec, now_ticks, probe_resolution
 
 __version__ = "0.1.0"
+
+# The battery's names load its module, and numpy with it, on first use.
+_FIPS_NAMES = frozenset(
+    ("FipsBlockResult", "FipsRateReport", "fips_block_tests", "fips_pass_rate")
+)
+
+
+def __getattr__(name: str):
+    if name in _FIPS_NAMES:
+        from . import fips
+
+        return getattr(fips, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CollectorConfig",

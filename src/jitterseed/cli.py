@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from . import analysis, autotune, fips
+from . import analysis, autotune
 from .collector import CollectorConfig, collect_trace, distinct_count
 from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
 from .errors import SeederError, ShortStreamError
@@ -81,18 +81,40 @@ def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _write_bytes(payload: bytes, path) -> None:
-    """Write every byte of payload to path, or to stdout when path is None.
+def _write_all(sink, payload: bytes) -> None:
+    """Write every byte of payload to sink and flush it.
 
     A pipe whose reader has gone can take part of a write without raising;
     the loop's next write then raises BrokenPipeError instead of losing bytes.
     """
-    target = open(path, "wb") if path else contextlib.nullcontext(sys.stdout.buffer)
-    with target as sink:
-        view = memoryview(payload)
-        while view:
-            view = view[sink.write(view) :]
-        sink.flush()
+    view = memoryview(payload)
+    while view:
+        view = view[sink.write(view) :]
+    sink.flush()
+
+
+def _write_bytes(payload: bytes, path) -> None:
+    """Write payload to stdout when path is None, else atomically to path.
+
+    The file is written as a new mode-0600 file beside path, fsynced and then
+    renamed over path, so path holds either its old content or all of payload,
+    and no other user can read it. On failure the temporary file is removed.
+    """
+    if not path:
+        _write_all(sys.stdout.buffer, payload)
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        with open(fd, "wb") as sink:
+            _write_all(sink, payload)
+            os.fsync(sink.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def cmd_seed(args) -> int:
@@ -172,6 +194,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fips(args) -> int:
+    # Only the battery needs numpy; importing it here keeps it off every
+    # other command's start-up.
+    from . import fips
+
     if args.source == "-":
         stream = sys.stdin.buffer
         close = False
@@ -244,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     tune.set_defaults(func=cmd_tune)
 
     analyze = sub.add_parser("analyze", help="collect traces and report the delta distribution")
-    analyze.add_argument("--runs", type=int, default=30, help="collection runs to aggregate")
+    analyze.add_argument(
+        "--runs", type=_int_at_least(1), default=30, help="collection runs to aggregate"
+    )
     analyze.add_argument("--k", type=_int_at_least(1), default=analysis.DEFAULT_TOP_K)
     analyze.add_argument("--log", default=None, help="raw value log path")
     analyze.add_argument("--csv", default=None, help="histogram CSV path")

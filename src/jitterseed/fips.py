@@ -10,6 +10,7 @@ them is a floor, not a proof of randomness.
 from __future__ import annotations
 
 import io
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,6 +82,30 @@ class FipsRateReport:
     failures: dict[str, int] = field(default_factory=dict)
 
 
+class _BlockBuffers(threading.local):
+    """Scratch arrays sized for one block, reused by every block a thread tests.
+
+    Fresh int64 temporaries for each block (about 300 KB) let glibc trim the
+    heap top when they are freed and fault it back in on the next block. The
+    temporaries left are the unpacked bits and the histogram's widened copy of
+    the block (20 KB each) and the run-edge index (8 bytes a run, about 80 KB
+    on random data).
+    """
+
+    def __init__(self) -> None:
+        # change[i]: bit i starts a run, or i == BLOCK_BITS ends the last one.
+        self.change = np.ones(BLOCK_BITS + 1, dtype=bool)
+        self.lengths = np.empty(BLOCK_BITS, dtype=np.intp)
+
+
+_buffers = _BlockBuffers()
+
+# Set bits of each byte value.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.intp
+)
+
+
 def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
     """Run the four tests on exactly one 20000-bit block."""
     if len(block) != BLOCK_BYTES:
@@ -88,35 +113,40 @@ def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
             f"block must be exactly {BLOCK_BYTES} bytes, got {len(block)}"
         )
     arr = np.frombuffer(block, dtype=np.uint8)
-    bits = np.unpackbits(arr)
 
-    ones = int(bits.sum())
+    # Monobit and poker both read one 256-bin histogram of the byte values.
+    byte_counts = np.bincount(arr, minlength=256)
+    ones = int(byte_counts @ _POPCOUNT)
     monobit_pass = MONOBIT_LO < ones < MONOBIT_HI
 
-    nibble_counts = np.bincount(
-        np.concatenate((arr >> 4, arr & 0x0F)), minlength=16
-    )
-    d = int(np.dot(nibble_counts, nibble_counts))
+    # Row h, column l of the 16x16 view counts the bytes 0xhl.
+    by_nibbles = byte_counts.reshape(16, 16)
+    nibble_counts = by_nibbles.sum(axis=0) + by_nibbles.sum(axis=1)
+    d = int(nibble_counts @ nibble_counts)
     poker_pass = POKER_D_LO < d < POKER_D_HI
     poker_statistic = 16.0 * d / 5000.0 - 5000.0
 
-    # Run-length extraction: starts of maximal same-bit stretches.
-    boundaries = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    lengths = np.diff(np.concatenate((starts, [bits.size])))
-    values = bits[starts]
+    # Run edges: the start of every maximal same-bit stretch, then BLOCK_BITS.
+    bits = np.unpackbits(arr)
+    np.not_equal(bits[1:], bits[:-1], out=_buffers.change[1:-1])
+    edges = np.flatnonzero(_buffers.change)
+    lengths = _buffers.lengths[: edges.size - 1]
+    np.subtract(edges[1:], edges[:-1], out=lengths)
+    max_run = int(lengths.max())
+    long_run_pass = max_run < LONG_RUN_BITS
 
-    # Bucket 6*bit + min(length, 6) - 1: zero-runs in 0..5, one-runs in 6..11.
-    buckets = 6 * values + np.minimum(lengths, 6) - 1
+    # Bucket 6*bit + min(length, 6) - 1, formed in place: zero-runs in 0..5,
+    # one-runs in 6..11. Runs alternate in value, so every other run is a
+    # one-run, starting with the first when the block's first bit is 1.
+    buckets = np.minimum(lengths, 6, out=lengths)
+    buckets[int(bits[0] == 0) :: 2] += 6
+    buckets -= 1
     counts = np.bincount(buckets, minlength=12).reshape(2, 6).tolist()
     runs_pass = all(
         lo <= counts[bit_value][i] <= hi
         for bit_value in (0, 1)
         for i, (lo, hi) in enumerate(RUN_INTERVALS)
     )
-
-    max_run = int(lengths.max())
-    long_run_pass = max_run < LONG_RUN_BITS
 
     return FipsBlockResult(
         block_index=block_index,

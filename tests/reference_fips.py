@@ -5,10 +5,24 @@ against the published test definitions. Verdicts from here are compared
 verdict-for-verdict with the production implementation and frozen into the
 golden CSV replayed by the acceptance suite. rngtest_verdicts scores a block
 with the system `rngtest` tool (rng-tools) instead, as a second oracle.
+numpy_reference_block_tests is the battery's earlier kernel, which built fresh
+arrays for every block; the buffer-reusing kernel must match it field for field.
 """
 
 import re
 import subprocess
+
+import numpy as np
+
+from jitterseed.fips import (
+    LONG_RUN_BITS,
+    MONOBIT_HI,
+    MONOBIT_LO,
+    POKER_D_HI,
+    POKER_D_LO,
+    RUN_INTERVALS,
+    FipsBlockResult,
+)
 
 BLOCK_BYTES = 2500
 
@@ -94,3 +108,38 @@ def rngtest_verdicts(block: bytes) -> dict[str, bool]:
             raise RuntimeError(f"could not parse rngtest output:\n{text}")
         verdicts[name] = int(match.group(1)) == 0
     return verdicts
+
+
+def numpy_reference_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
+    """The four tests as the battery computed them with per-block temporaries."""
+    assert len(block) == BLOCK_BYTES
+    arr = np.frombuffer(block, dtype=np.uint8)
+    bits = np.unpackbits(arr)
+
+    ones = int(bits.sum())
+    nibble_counts = np.bincount(np.concatenate((arr >> 4, arr & 0x0F)), minlength=16)
+    d = int(np.dot(nibble_counts, nibble_counts))
+
+    boundaries = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    lengths = np.diff(np.concatenate((starts, [bits.size])))
+    values = bits[starts]
+    buckets = 6 * values + np.minimum(lengths, 6) - 1
+    counts = np.bincount(buckets, minlength=12).reshape(2, 6).tolist()
+    max_run = int(lengths.max())
+
+    return FipsBlockResult(
+        block_index=block_index,
+        ones=ones,
+        monobit_pass=MONOBIT_LO < ones < MONOBIT_HI,
+        poker_statistic=16.0 * d / 5000.0 - 5000.0,
+        poker_pass=POKER_D_LO < d < POKER_D_HI,
+        run_counts=(tuple(counts[0]), tuple(counts[1])),
+        runs_pass=all(
+            lo <= counts[bit_value][i] <= hi
+            for bit_value in (0, 1)
+            for i, (lo, hi) in enumerate(RUN_INTERVALS)
+        ),
+        max_run=max_run,
+        long_run_pass=max_run < LONG_RUN_BITS,
+    )

@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import jitterseed
+from jitterseed import cli
 from jitterseed.cli import run_cli
 from jitterseed.conditioner import mk0_stream
 
@@ -44,6 +49,42 @@ def test_seed_to_stdout_is_pure_binary(capfdbinary):
     captured = capfdbinary.readouterr()
     assert len(captured.out) == SEED_BYTES
     assert b"seed: 3232 bytes" in captured.err
+
+
+def test_seed_file_is_private(tmp_path):
+    out = tmp_path / "seed.bin"
+    assert run_cli(["seed", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["seed.bin"]
+
+
+def test_seed_replaces_readable_target_privately(tmp_path):
+    out = tmp_path / "seed.bin"
+    out.write_bytes(b"old")
+    out.chmod(0o644)
+    assert run_cli(["seed", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.stat().st_size == SEED_BYTES
+    assert os.listdir(tmp_path) == ["seed.bin"]
+
+
+def test_failed_seed_leaves_directory_empty(tmp_path, capsys):
+    out = tmp_path / "seed.bin"
+    assert run_cli(["seed", "--simulate-quantum-ns", "16000000", "--out", str(out)]) == 1
+    assert os.listdir(tmp_path) == []
+    capsys.readouterr()
+
+
+def test_write_error_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def fail_midway(sink, payload):
+        sink.write(payload[:100])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_all", fail_midway)
+    out = tmp_path / "seed.bin"
+    assert run_cli(["seed", "--out", str(out)]) == 1
+    assert os.listdir(tmp_path) == []
+    assert "No space left on device" in capsys.readouterr().err
 
 
 def test_seed_hex_output(tmp_path):
@@ -277,6 +318,8 @@ def test_pipeline_mk0_into_fips():
         (["seed", "--floor", "1", "--simulate-quantum-ns", "16000000", "--stretch", "0", "--hex"], 2),
         (["seed", "--out", "{missing}/seed.bin"], 1),
         (["tune", "--budget-ms", "0"], 2),
+        (["analyze", "--runs", "0"], 2),
+        (["analyze", "--runs", "-3"], 2),
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, code):
@@ -291,6 +334,36 @@ def test_bad_input_exits_cleanly(tmp_path, argv, code):
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert not out.exists() and not missing.exists()
+
+
+def test_commands_without_battery_never_import_numpy(tmp_path):
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from jitterseed.cli import run_cli
+        for argv in (
+            ["seed", "--out", {str(tmp_path / "seed.bin")!r}],
+            ["probe"],
+            ["tune", "--budget-ms", "200"],
+            ["mk0", "--count", "10", "--out", {str(tmp_path / "mk0.bin")!r}],
+            ["analyze", "--runs", "1"],
+        ):
+            assert run_cli(argv) == 0, argv
+        assert "numpy" not in sys.modules
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    for name in jitterseed.__all__:
+        assert getattr(jitterseed, name) is not None
+    assert jitterseed.fips_pass_rate is jitterseed.fips.fips_pass_rate
+    with pytest.raises(AttributeError):
+        jitterseed.no_such_name
 
 
 def test_mk0_broken_pipe_exits_one():

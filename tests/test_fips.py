@@ -1,8 +1,11 @@
+import dataclasses
 import io
+import os
 import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_blocks import (
+    BLOCK_BITS,
     BLOCK_BYTES,
     block_with_ones,
     block_with_run,
     flat_nibble_block,
     golden_corpus,
+    pack_bits,
 )
 from jitterseed.conditioner import mk0_stream
 from jitterseed.errors import ShortStreamError, WrongBlockSizeError
@@ -28,7 +33,7 @@ from jitterseed.fips import (
     fips_pass_rate,
     summary_line,
 )
-from reference_fips import reference_verdicts
+from reference_fips import numpy_reference_block_tests, reference_verdicts
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -342,3 +347,92 @@ def test_rngtest_compare_reference_regenerates_golden_csv(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (REPO / "tests" / "data" / "fips_golden.csv").read_bytes()
+
+
+def edge_run_block(bit: int, length: int, at_end: bool) -> bytes:
+    """Alternating bits with one run of `bit`, of exact length, at a block end."""
+    bits = [i & 1 for i in range(BLOCK_BITS)]
+    span = range(BLOCK_BITS - length, BLOCK_BITS) if at_end else range(length)
+    for i in span:
+        bits[i] = bit
+    bits[span[0] - 1 if at_end else span[-1] + 1] = 1 - bit
+    return pack_bits(bits)
+
+
+def crafted_kernel_blocks() -> list[bytes]:
+    blocks = [b"\x00" * BLOCK_BYTES, b"\xff" * BLOCK_BYTES, b"\x55" * BLOCK_BYTES]
+    blocks.append(b"\x80" + b"\x00" * (BLOCK_BYTES - 1))
+    blocks.append(b"\x00" * (BLOCK_BYTES - 1) + b"\x01")
+    blocks += [
+        edge_run_block(bit, length, at_end)
+        for bit in (0, 1)
+        for length in (25, 26)
+        for at_end in (False, True)
+    ]
+    return blocks
+
+
+def test_kernel_matches_numpy_reference():
+    stream = mk0_stream(512 * BLOCK_BYTES // 32)
+    mk0_blocks = [stream[i : i + BLOCK_BYTES] for i in range(0, len(stream), BLOCK_BYTES)]
+    assert len(mk0_blocks) == 512
+    for index, block in enumerate(golden_corpus() + crafted_kernel_blocks() + mk0_blocks):
+        got = dataclasses.astuple(fips_block_tests(block, block_index=index))
+        assert got == dataclasses.astuple(numpy_reference_block_tests(block, index))
+
+
+def test_concurrent_pass_rates_match_sequential():
+    # Each thread must work in its own buffers: the kernel's numpy calls
+    # release the interpreter lock, so shared buffers would mix blocks.
+    sources = [b"".join(golden_corpus()), mk0_stream(128 * BLOCK_BYTES // 32)]
+
+    def run(source):
+        seen = []
+        report = fips_pass_rate(source, continuous_check=True, block_sink=seen.append)
+        return report, seen
+
+    expected = [run(source) for source in sources]
+    got = [None] * len(sources)
+
+    def worker(slot):
+        got[slot] = run(sources[slot])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+def _minor_faults(args) -> int:
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jitterseed", "fips", *args],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+def test_battery_does_not_fault_per_block(tmp_path):
+    # Freed per-block temporaries can let glibc trim the heap and fault it back
+    # in on every block. A kernel that churned showed no churn over the first
+    # 1024 blocks, so this takes the full 5120-block mk0 stream.
+    stream = tmp_path / "mk0.bin"
+    one_block = tmp_path / "one.bin"
+    stream.write_bytes(mk0_stream(400000))
+    one_block.write_bytes(stream.read_bytes()[:BLOCK_BYTES])
+    csv = str(tmp_path / "blocks.csv")
+    full = _minor_faults([str(stream), "--continuous", "--per-block", csv])
+    base = _minor_faults([str(one_block), "--continuous", "--per-block", csv])
+    assert full - base < 5120
