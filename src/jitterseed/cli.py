@@ -93,22 +93,25 @@ def _write_all(sink, payload: bytes) -> None:
     sink.flush()
 
 
-def _write_bytes(payload: bytes, path) -> None:
-    """Write payload to stdout when path is None, else atomically to path.
+@contextlib.contextmanager
+def _output(path):
+    """Yield the binary sink for a command's output: stdout when path is None,
+    else a file that replaces path only if the block completes.
 
     The file is written as a new mode-0600 file beside path, fsynced and then
-    renamed over path, so path holds either its old content or all of payload,
-    and no other user can read it. On failure the temporary file is removed.
+    renamed over path, so path holds either its old content or all of the
+    output, and no other user can read it. On any exception the temporary
+    file is removed.
     """
     if not path:
-        _write_all(sys.stdout.buffer, payload)
+        yield sys.stdout.buffer
         return
     directory, name = os.path.split(os.path.abspath(path))
     temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with open(fd, "wb") as sink:
-            _write_all(sink, payload)
+            yield sink
             os.fsync(sink.fileno())
         os.replace(temp, path)
     except BaseException:
@@ -145,7 +148,8 @@ def cmd_seed(args) -> int:
     seed = condition(trace, quality_floor=args.floor)
 
     payload = seed.hex().encode() + b"\n" if args.hex else seed.to_bytes()
-    _write_bytes(payload, args.out)
+    with _output(args.out) as sink:
+        _write_all(sink, payload)
 
     note = f" after tuning to scale={config.scale}" if tuning else ""
     print(
@@ -235,7 +239,8 @@ def cmd_fips(args) -> int:
 
 
 def cmd_mk0(args) -> int:
-    _write_bytes(mk0_stream(args.count), args.out)
+    with _output(args.out) as sink:
+        mk0_stream(args.count, lambda chunk: _write_all(sink, chunk))
     return 0
 
 

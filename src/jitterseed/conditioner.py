@@ -9,7 +9,9 @@ distinct-value floor, no seed bytes exist at all.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from .collector import TimingTrace, distinct_count
@@ -17,27 +19,59 @@ from .errors import EmptyTraceError, InsufficientEntropyError
 
 DEFAULT_QUALITY_FLOOR = 20
 
+DIGEST_BYTES = hashlib.sha256().digest_size
+
+# mk0_stream hands its output on in chunks of this many digests (64 KiB).
+MK0_CHUNK_DIGESTS = 2048
+
+
+class DigestChain(Sequence):
+    """Read-only view of seed material as its sequence of 32-byte digests.
+
+    Indexing slices the digest out of the material, so the view holds no
+    per-digest objects however long the chain is.
+    """
+
+    __slots__ = ("_material",)
+
+    def __init__(self, material: bytes) -> None:
+        self._material = material
+
+    def __len__(self) -> int:
+        return len(self._material) // DIGEST_BYTES
+
+    def __getitem__(self, index: int) -> bytes:
+        # The range resolves negative indices and raises IndexError past the end.
+        start = range(0, len(self._material), DIGEST_BYTES)[index]
+        return self._material[start : start + DIGEST_BYTES]
+
 
 @dataclass(frozen=True)
 class SeedOutput:
     """The digest chain produced from one trace.
 
-    source_fingerprint hashes the provenance (config + timer spec) for audit
-    trails only; it is never an input to the seed digests.
+    material is the concatenated chain, digests[0] first; digests is a view
+    of the same bytes. source_fingerprint hashes the provenance (config +
+    timer spec) for audit trails only; it is never an input to the seed
+    digests.
     """
 
-    digests: tuple[bytes, ...]
+    material: bytes
     source_fingerprint: str
 
     @property
+    def digests(self) -> DigestChain:
+        return DigestChain(self.material)
+
+    @property
     def total_bytes(self) -> int:
-        return sum(len(d) for d in self.digests)
+        return len(self.material)
 
     def to_bytes(self) -> bytes:
-        return b"".join(self.digests)
+        return self.material
 
     def hex(self) -> str:
-        return self.to_bytes().hex()
+        return self.material.hex()
 
 
 def serialize_trace(trace: TimingTrace) -> bytes:
@@ -75,26 +109,42 @@ def condition(
         )
 
     serialized = serialize_trace(trace)
-    digests = [hashlib.sha256(serialized).digest()]
+    # Each link goes straight into one buffer; getvalue() hands that buffer
+    # over without a copy.
+    material = io.BytesIO()
+    digest = hashlib.sha256(serialized).digest()
+    material.write(digest)
     for _ in range(trace.config.stretch):
-        digests.append(hashlib.sha256(digests[-1] + serialized).digest())
+        digest = hashlib.sha256(digest + serialized).digest()
+        material.write(digest)
 
-    return SeedOutput(digests=tuple(digests), source_fingerprint=_fingerprint(trace))
+    return SeedOutput(material=material.getvalue(), source_fingerprint=_fingerprint(trace))
 
 
-def mk0_stream(count: int) -> bytes:
+def mk0_stream(count: int, write=None) -> bytes | None:
     """Reference byte stream from a hashed decimal counter.
 
     A single SHA-256 accumulates the decimal texts "0", "1", ..., emitting the
     running digest after each update from 1 through `count`. Statistically
     well-behaved and fully reproducible, so it serves as the known-good
     calibration source for the statistical battery.
+
+    With `write` given, the stream is handed to it in chunks of
+    MK0_CHUNK_DIGESTS digests as they are hashed, so memory stays constant
+    whatever the count, and None is returned. Without it, the whole stream is
+    returned as bytes.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if write is None:
+        stream = io.BytesIO()
+        mk0_stream(count, stream.write)
+        return stream.getvalue()
     h = hashlib.sha256(b"0")
-    out = bytearray()
-    for i in range(1, count + 1):
-        h.update(str(i).encode())
-        out += h.digest()
-    return bytes(out)
+    for start in range(1, count + 1, MK0_CHUNK_DIGESTS):
+        digests = []
+        for i in range(start, min(start + MK0_CHUNK_DIGESTS, count + 1)):
+            h.update(str(i).encode())
+            digests.append(h.digest())
+        write(b"".join(digests))
+    return None

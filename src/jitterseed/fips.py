@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import io
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,6 +40,7 @@ LONG_RUN_BITS = 26
 
 # The four block tests, in battery order; each names its `<name>_pass` field.
 BATTERY_TESTS = ("monobit", "poker", "runs", "long_run")
+_BATTERY_FLAGS = attrgetter(*(f"{name}_pass" for name in BATTERY_TESTS))
 
 BLOCK_CSV_HEADER = "block,monobit,poker,runs,longrun,pass"
 
@@ -62,7 +64,7 @@ class FipsBlockResult:
     @property
     def verdicts(self) -> dict[str, bool]:
         """Pass flag per test name; `continuous` only when that check ran."""
-        table = {name: getattr(self, f"{name}_pass") for name in BATTERY_TESTS}
+        table = dict(zip(BATTERY_TESTS, _BATTERY_FLAGS(self)))
         if self.continuous_pass is not None:
             table["continuous"] = self.continuous_pass
         return table
@@ -106,8 +108,14 @@ _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
 )
 
 
-def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
-    """Run the four tests on exactly one 20000-bit block."""
+def fips_block_tests(
+    block: bytes, block_index: int = 0, continuous_pass: bool | None = None
+) -> FipsBlockResult:
+    """Run the four tests on exactly one 20000-bit block.
+
+    continuous_pass is the caller's continuous-check verdict for the block,
+    recorded in the result as given (None when the check did not run).
+    """
     if len(block) != BLOCK_BYTES:
         raise WrongBlockSizeError(
             f"block must be exactly {BLOCK_BYTES} bytes, got {len(block)}"
@@ -158,12 +166,14 @@ def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
         runs_pass=runs_pass,
         max_run=max_run,
         long_run_pass=long_run_pass,
+        continuous_pass=continuous_pass,
     )
 
 
 def _repeated_word(block: bytes, last_word: bytes | None) -> tuple[bool, bytes]:
     """Scan consecutive 32-bit words (carrying across blocks) for a repeat."""
-    words = np.frombuffer(block, dtype=">u4")
+    # Equality does not depend on byte order, and native words compare faster.
+    words = np.frombuffer(block, dtype=np.uint32)
     repeated = block[:4] == last_word or bool((words[1:] == words[:-1]).any())
     return repeated, block[-4:]
 
@@ -211,11 +221,12 @@ def fips_pass_rate(
                 f"stream exhausted after {tested} of {wanted} blocks",
                 partial=partial,
             )
-        result = fips_block_tests(block, block_index=index)
-        index += 1
+        continuous_pass = None
         if continuous_check:
             repeated, last_word = _repeated_word(block, last_word)
-            result = replace(result, continuous_pass=not repeated)
+            continuous_pass = not repeated
+        result = fips_block_tests(block, block_index=index, continuous_pass=continuous_pass)
+        index += 1
         tested += 1
         if result.passed:
             passed += 1
@@ -242,5 +253,6 @@ def summary_line(report: FipsRateReport) -> str:
 
 
 def block_csv_row(result: FipsBlockResult) -> str:
-    flags = [result.verdicts[name] for name in BATTERY_TESTS] + [result.passed]
-    return f"{result.block_index}," + ",".join(str(int(f)) for f in flags)
+    verdicts = result.verdicts
+    flags = [verdicts[name] for name in BATTERY_TESTS] + [result.passed]
+    return f"{result.block_index}," + ",".join(["1" if flag else "0" for flag in flags])

@@ -376,3 +376,60 @@ def test_mk0_broken_pipe_exits_one():
     proc.stdout.close()
     assert proc.wait(timeout=60) == 1
     proc.stderr.close()
+
+
+def test_mk0_file_is_private_and_complete(tmp_path):
+    out = tmp_path / "mk0.bin"
+    assert run_cli(["mk0", "--count", "5000", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.read_bytes() == mk0_stream(5000)
+
+
+def test_mk0_write_error_leaves_directory_empty(tmp_path, monkeypatch, capsys):
+    write_all = cli._write_all
+    calls = []
+
+    def fail_on_second_chunk(sink, payload):
+        calls.append(len(payload))
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        write_all(sink, payload)
+
+    monkeypatch.setattr(cli, "_write_all", fail_on_second_chunk)
+    assert run_cli(["mk0", "--count", "5000", "--out", str(tmp_path / "mk0.bin")]) == 1
+    assert len(calls) == 2
+    assert os.listdir(tmp_path) == []
+    assert "No space left on device" in capsys.readouterr().err
+
+
+# A child's ru_maxrss starts at the peak of the process that spawned it, and
+# a test session's peak can exceed anything mk0 uses, so a fresh interpreter
+# spawns the command and reports the figure.
+PEAK_RSS_SCRIPT = """
+import os, subprocess, sys
+proc = subprocess.Popen(
+    [sys.executable, "-m", "jitterseed", *sys.argv[1:]], stdout=subprocess.DEVNULL
+)
+_, status, usage = os.wait4(proc.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(*args) -> int:
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_mk0_streams_in_constant_memory():
+    # 400000 digests are 12.8 MB; a stream held whole would show here.
+    large = _peak_rss_kb("mk0", "--count", "400000")
+    small = _peak_rss_kb("mk0", "--count", "10")
+    assert large - small <= 4 * 1024

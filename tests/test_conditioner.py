@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import make_trace
 from jitterseed.conditioner import (
     DEFAULT_QUALITY_FLOOR,
+    MK0_CHUNK_DIGESTS,
     condition,
     mk0_stream,
     serialize_trace,
@@ -183,3 +185,44 @@ def test_mk0_length_contract():
 def test_mk0_rejects_zero_count():
     with pytest.raises(ValueError):
         mk0_stream(0)
+
+
+def test_digests_view_indexes_the_material():
+    seed = condition(make_trace(range(1, 101), stretch=3))
+    digests = seed.digests
+    assert len(digests) == 4
+    assert b"".join(digests) == seed.to_bytes()
+    assert digests[-1] == seed.to_bytes()[-32:]
+    with pytest.raises(IndexError):
+        digests[4]
+
+
+def test_condition_holds_one_copy_of_the_material():
+    trace = make_trace(range(1, 101), stretch=100_000)
+    tracemalloc.start()
+    try:
+        seed = condition(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * seed.total_bytes
+
+
+def loop_mk0(count: int) -> bytes:
+    """The whole-stream loop mk0 first used."""
+    h = hashlib.sha256(b"0")
+    out = bytearray()
+    for i in range(1, count + 1):
+        h.update(str(i).encode())
+        out += h.digest()
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "count", [1, MK0_CHUNK_DIGESTS - 1, MK0_CHUNK_DIGESTS, MK0_CHUNK_DIGESTS + 1, 5000]
+)
+def test_mk0_chunks_concatenate_to_the_stream(count):
+    chunks = []
+    assert mk0_stream(count, chunks.append) is None
+    assert all(len(chunk) <= 32 * MK0_CHUNK_DIGESTS for chunk in chunks)
+    assert b"".join(chunks) == mk0_stream(count) == loop_mk0(count)
