@@ -197,13 +197,7 @@ def report_document(timer_spec, config, report: DistributionReport, tuning: dict
             "top_k": [[value, count] for value, count in report.top_k],
             "runs": report.runs,
         },
-        "entropy": {
-            "n_top": estimate.n_top,
-            "samples": estimate.samples,
-            "bits": estimate.bits,
-            "key_space_log10": estimate.key_space_log10,
-            "meets_standard": meets_seed_standard(estimate),
-        },
+        "entropy": {**asdict(estimate), "meets_standard": meets_seed_standard(estimate)},
         "tuning": tuning,
     }
 

@@ -36,13 +36,8 @@ class TuneResult:
     verdict: TuneVerdict
 
     def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "probe_runs": self.probe_runs,
-            "achieved_distinct": self.achieved_distinct,
-            "elapsed_ns": self.elapsed_ns,
-            "verdict": self.verdict.value,
-        }
+        # The verdict stays a TuneVerdict, which JSON writes as its str value.
+        return asdict(self)
 
 
 def _projected_probe_ns(config: CollectorConfig) -> int:

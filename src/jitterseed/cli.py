@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import analysis, autotune
 from .collector import CollectorConfig, collect_trace, distinct_count
@@ -38,6 +37,13 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _path(text: str) -> str:
+    """Argparse type for an output path; an empty one is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("path must not be empty")
+    return text
+
+
 def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--floor",
@@ -55,30 +61,28 @@ def _add_sim_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--simulate-quantum-ns",
         type=_int_at_least(1),
-        default=None,
         help=argparse.SUPPRESS,
     )
 
 
 def _make_clock(args):
-    quantum = getattr(args, "simulate_quantum_ns", None)
-    if quantum is not None:
-        return SimulatedClock(quantum)
+    if args.simulate_quantum_ns is not None:
+        return SimulatedClock(args.simulate_quantum_ns)
     return default_clock()
 
 
-def _config_from(args) -> CollectorConfig:
-    config = CollectorConfig()
-    overrides = {
-        name: value
-        for name in ("scale", "samples", "stretch")
-        if (value := getattr(args, name, None)) is not None
-    }
-    return replace(config, **overrides) if overrides else config
-
-
-def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+def _tune(args, base: CollectorConfig, clock, timer_spec=None) -> autotune.TuneResult:
+    """Tune base within the command's floor and budget; report unattainable on stderr."""
+    result = autotune.tune(
+        base, clock, timer_spec, floor=args.floor, budget_ns=args.budget_ms * 1_000_000
+    )
+    if result.verdict is autotune.TuneVerdict.UNATTAINABLE:
+        print(
+            f"error: tuning unattainable within {args.budget_ms} ms "
+            f"(best median distinct {result.achieved_distinct}, floor {args.floor})",
+            file=sys.stderr,
+        )
+    return result
 
 
 def _write_all(sink, payload: bytes) -> None:
@@ -103,7 +107,7 @@ def _output(path):
     output, and no other user can read it. On any exception the temporary
     file is removed.
     """
-    if not path:
+    if path is None:
         yield sys.stdout.buffer
         return
     directory, name = os.path.split(os.path.abspath(path))
@@ -123,24 +127,11 @@ def _output(path):
 def cmd_seed(args) -> int:
     clock = _make_clock(args)
     timer_spec = probe_resolution(clock)
-    config = _config_from(args)
+    config = CollectorConfig(samples=args.samples, scale=args.scale, stretch=args.stretch)
 
-    tuning = None
     if args.tune:
-        result = autotune.tune(
-            config,
-            clock,
-            timer_spec,
-            floor=args.floor,
-            budget_ns=args.budget_ms * 1_000_000,
-        )
-        tuning = result
+        result = _tune(args, config, clock, timer_spec)
         if result.verdict is autotune.TuneVerdict.UNATTAINABLE:
-            print(
-                f"error: tuning unattainable within {args.budget_ms} ms "
-                f"(best median distinct {result.achieved_distinct}, floor {args.floor})",
-                file=sys.stderr,
-            )
             return 1
         config = result.config
 
@@ -151,7 +142,7 @@ def cmd_seed(args) -> int:
     with _output(args.out) as sink:
         _write_all(sink, payload)
 
-    note = f" after tuning to scale={config.scale}" if tuning else ""
+    note = f" after tuning to scale={config.scale}" if args.tune else ""
     print(
         f"seed: {seed.total_bytes} bytes from {distinct_count(trace)} distinct "
         f"deltas (samples={config.samples} scale={config.scale} "
@@ -162,18 +153,9 @@ def cmd_seed(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    clock = _make_clock(args)
-    result = autotune.tune(
-        CollectorConfig(),
-        clock,
-        floor=args.floor,
-        budget_ns=args.budget_ms * 1_000_000,
-    )
-    _emit_json(result.to_dict())
-    if result.verdict is autotune.TuneVerdict.UNATTAINABLE:
-        print("error: tuning unattainable within budget", file=sys.stderr)
-        return 1
-    return 0
+    result = _tune(args, CollectorConfig(), _make_clock(args))
+    analysis.write_json_report(result.to_dict(), sys.stdout)
+    return 1 if result.verdict is autotune.TuneVerdict.UNATTAINABLE else 0
 
 
 def cmd_analyze(args) -> int:
@@ -184,16 +166,16 @@ def cmd_analyze(args) -> int:
     traces = [collect_trace(config, clock, timer_spec) for _ in range(args.runs)]
     report = analysis.aggregate_distribution(traces, k=args.k)
 
-    if args.log:
+    if args.log is not None:
         all_values = [value for trace in traces for value in trace.samples]
         analysis.write_value_log(all_values, args.log)
-    if args.csv:
+    if args.csv is not None:
         analysis.write_histogram_csv(report, args.csv)
 
     document = analysis.report_document(timer_spec, config, report)
-    if args.json:
+    if args.json is not None:
         analysis.write_json_report(document, args.json)
-    _emit_json(document)
+    analysis.write_json_report(document, sys.stdout)
     return 0
 
 
@@ -202,18 +184,14 @@ def cmd_fips(args) -> int:
     # other command's start-up.
     from . import fips
 
-    if args.source == "-":
-        stream = sys.stdin.buffer
-        close = False
-    else:
-        stream = open(args.source, "rb")
-        close = True
-
-    csv_handle = None
-    sink = None
-    try:
-        if args.per_block:
-            csv_handle = open(args.per_block, "w")
+    with contextlib.ExitStack() as stack:
+        if args.source == "-":
+            stream = sys.stdin.buffer
+        else:
+            stream = stack.enter_context(open(args.source, "rb"))
+        sink = None
+        if args.per_block is not None:
+            csv_handle = stack.enter_context(open(args.per_block, "w"))
             csv_handle.write(fips.BLOCK_CSV_HEADER + "\n")
             sink = lambda result: csv_handle.write(fips.block_csv_row(result) + "\n")
         try:
@@ -228,11 +206,6 @@ def cmd_fips(args) -> int:
                 print(fips.summary_line(exc.partial))
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    finally:
-        if csv_handle is not None:
-            csv_handle.close()
-        if close:
-            stream.close()
 
     print(fips.summary_line(report))
     return 0
@@ -247,7 +220,7 @@ def cmd_mk0(args) -> int:
 def cmd_probe(args) -> int:
     clock = _make_clock(args)
     timer_spec = probe_resolution(clock, reads=args.reads)
-    _emit_json(asdict(timer_spec))
+    analysis.write_json_report(asdict(timer_spec), sys.stdout)
     return 0
 
 
@@ -259,12 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seed = sub.add_parser("seed", help="collect one trace and emit seed bytes")
-    seed.add_argument("--scale", type=int, default=None, help="kernel repeat count per sample")
-    seed.add_argument("--samples", type=int, default=None, help="timed runs per trace")
-    seed.add_argument("--stretch", type=int, default=None, help="extra digest links")
+    seed.add_argument(
+        "--scale", type=int, default=CollectorConfig.scale, help="kernel repeat count per sample"
+    )
+    seed.add_argument(
+        "--samples", type=int, default=CollectorConfig.samples, help="timed runs per trace"
+    )
+    seed.add_argument(
+        "--stretch", type=int, default=CollectorConfig.stretch, help="extra digest links"
+    )
     seed.add_argument("--tune", action="store_true", help="autotune scale first")
     _add_floor_budget(seed)
-    seed.add_argument("--out", default=None, help="write seed bytes to this file")
+    seed.add_argument("--out", type=_path, help="write seed bytes to this file")
     seed.add_argument("--hex", action="store_true", help="emit lowercase hex text")
     _add_sim_flag(seed)
     seed.set_defaults(func=cmd_seed)
@@ -279,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs", type=_int_at_least(1), default=30, help="collection runs to aggregate"
     )
     analyze.add_argument("--k", type=_int_at_least(1), default=analysis.DEFAULT_TOP_K)
-    analyze.add_argument("--log", default=None, help="raw value log path")
-    analyze.add_argument("--csv", default=None, help="histogram CSV path")
-    analyze.add_argument("--json", default=None, help="JSON report path")
+    analyze.add_argument("--log", type=_path, help="raw value log path")
+    analyze.add_argument("--csv", type=_path, help="histogram CSV path")
+    analyze.add_argument("--json", type=_path, help="JSON report path")
     _add_sim_flag(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -290,10 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     fips_cmd.add_argument(
         "--blocks",
         type=_int_at_least(1),
-        default=None,
         help="exact block count (default: all complete blocks until EOF)",
     )
-    fips_cmd.add_argument("--per-block", default=None, help="per-block verdict CSV path")
+    fips_cmd.add_argument("--per-block", type=_path, help="per-block verdict CSV path")
     fips_cmd.add_argument(
         "--continuous", action="store_true", help="also flag repeated 32-bit words"
     )
@@ -303,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     mk0.add_argument(
         "--count", type=_int_at_least(1), default=100000, help="number of 32-byte digests"
     )
-    mk0.add_argument("--out", default=None, help="write stream to this file")
+    mk0.add_argument("--out", type=_path, help="write stream to this file")
     mk0.set_defaults(func=cmd_mk0)
 
     probe = sub.add_parser("probe", help="measure the timer's empirical resolution")

@@ -80,8 +80,12 @@ class FipsRateReport:
 
     blocks_tested: int
     blocks_passed: int
-    pass_rate: float
     failures: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def pass_rate(self) -> float:
+        """Share of tested blocks that passed every test; 0.0 when none was."""
+        return self.blocks_passed / self.blocks_tested if self.blocks_tested else 0.0
 
 
 class _BlockBuffers(threading.local):
@@ -204,29 +208,15 @@ def fips_pass_rate(
     passed = 0
     last_word: bytes | None = None
 
-    index = 0
-    while blocks is None or index < blocks:
+    while blocks is None or tested < blocks:
         block = stream.read(BLOCK_BYTES)
         if len(block) < BLOCK_BYTES:
-            if blocks is None and tested > 0:
-                break
-            partial = FipsRateReport(
-                blocks_tested=tested,
-                blocks_passed=passed,
-                pass_rate=passed / tested if tested else 0.0,
-                failures=failures,
-            )
-            wanted = "at least 1" if blocks is None else str(blocks)
-            raise ShortStreamError(
-                f"stream exhausted after {tested} of {wanted} blocks",
-                partial=partial,
-            )
+            break
         continuous_pass = None
         if continuous_check:
             repeated, last_word = _repeated_word(block, last_word)
             continuous_pass = not repeated
-        result = fips_block_tests(block, block_index=index, continuous_pass=continuous_pass)
-        index += 1
+        result = fips_block_tests(block, block_index=tested, continuous_pass=continuous_pass)
         tested += 1
         if result.passed:
             passed += 1
@@ -236,12 +226,13 @@ def fips_pass_rate(
         if block_sink is not None:
             block_sink(result)
 
-    return FipsRateReport(
-        blocks_tested=tested,
-        blocks_passed=passed,
-        pass_rate=passed / tested,
-        failures=failures,
-    )
+    report = FipsRateReport(blocks_tested=tested, blocks_passed=passed, failures=failures)
+    if tested < (blocks or 1):
+        wanted = "at least 1" if blocks is None else str(blocks)
+        raise ShortStreamError(
+            f"stream exhausted after {tested} of {wanted} blocks", partial=report
+        )
+    return report
 
 
 def summary_line(report: FipsRateReport) -> str:

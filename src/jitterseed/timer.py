@@ -58,11 +58,11 @@ class SimulatedClock:
     the classic low-resolution-timer failure mode on any host.
     """
 
-    def __init__(self, quantum_ns: int, base=None):
+    def __init__(self, quantum_ns: int):
         if quantum_ns < 1:
             raise ValueError("quantum_ns must be >= 1")
         self.quantum_ns = quantum_ns
-        self._base = base if base is not None else PerfCounterClock()
+        self._base = PerfCounterClock()
         self.name = f"simulated-{quantum_ns}ns"
         self.monotonic = self._base.monotonic
 

@@ -145,6 +145,30 @@ def test_seed_invalid_scale_is_operational_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_seed_tune_success_writes_seed(tmp_path, capsys):
+    out = tmp_path / "seed.bin"
+    assert run_cli(["seed", "--tune", "--out", str(out)]) == 0
+    assert out.stat().st_size == SEED_BYTES
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"seed: 3232 bytes .* after tuning to scale=\d+\n\Z", captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe"],
+        ["tune", "--budget-ms", "200", "--simulate-quantum-ns", "16000000"],
+        ["analyze", "--runs", "1"],
+    ],
+)
+def test_json_stdout_is_indented_with_one_newline(argv, capsys):
+    run_cli(argv)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_tune_emits_json(capsys):
     assert run_cli(["tune"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -320,6 +344,12 @@ def test_pipeline_mk0_into_fips():
         (["tune", "--budget-ms", "0"], 2),
         (["analyze", "--runs", "0"], 2),
         (["analyze", "--runs", "-3"], 2),
+        (["seed", "--out", ""], 2),
+        (["mk0", "--count", "1", "--out", ""], 2),
+        (["analyze", "--runs", "1", "--log", ""], 2),
+        (["analyze", "--runs", "1", "--csv", ""], 2),
+        (["analyze", "--runs", "1", "--json", ""], 2),
+        (["fips", "{missing}", "--per-block", ""], 2),
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, code):
