@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedClockError,
     WrongBlockSizeError,
 )
-from .timer import SimulatedClock, TimerSpec, now_ticks, probe_resolution
+from .timer import SimulatedClock, TimerSpec, probe_resolution
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "meets_seed_standard",
     "merge_reports",
     "mk0_stream",
-    "now_ticks",
     "probe_resolution",
     "serialize_trace",
     "top_k_overlap",

@@ -138,9 +138,9 @@ def estimate_worst_case_entropy(n_top: int, samples: int) -> EntropyEstimate:
     )
 
 
-def meets_seed_standard(estimate: EntropyEstimate, standard_bits: int = SEED_STANDARD_BITS) -> bool:
+def meets_seed_standard(estimate: EntropyEstimate) -> bool:
     """Does the worst-case key space reach the 256-bit seed standard?"""
-    return estimate.bits >= standard_bits
+    return estimate.bits >= SEED_STANDARD_BITS
 
 
 def _text_sink(sink):
@@ -157,11 +157,6 @@ def write_value_log(trace, sink) -> None:
             handle.write(f"{value}\n")
 
 
-def read_value_log(path) -> list[int]:
-    with open(path) as handle:
-        return [int(line) for line in handle if line.strip()]
-
-
 def write_histogram_csv(report: DistributionReport, sink) -> None:
     """Full histogram as CSV, rows sorted by count desc then value asc."""
     with _text_sink(sink) as handle:
@@ -170,15 +165,7 @@ def write_histogram_csv(report: DistributionReport, sink) -> None:
         writer.writerows(_ranked(report.histogram))
 
 
-def read_histogram_csv(path) -> dict[int, int]:
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or tuple(rows[0]) != HISTOGRAM_CSV_HEADER:
-        raise ValueError(f"unexpected histogram CSV header: {rows[:1]}")
-    return {int(value): int(count) for value, count in rows[1:]}
-
-
-def report_document(timer_spec, config, report: DistributionReport, tuning: dict | None = None) -> dict:
+def report_document(timer_spec, config, report: DistributionReport) -> dict:
     """Assemble the JSON-ready analysis document.
 
     The entropy block records the n_top actually used: the model's standard
@@ -198,7 +185,6 @@ def report_document(timer_spec, config, report: DistributionReport, tuning: dict
             "runs": report.runs,
         },
         "entropy": {**asdict(estimate), "meets_standard": meets_seed_standard(estimate)},
-        "tuning": tuning,
     }
 
 

@@ -13,7 +13,7 @@ import enum
 import time
 from dataclasses import asdict, dataclass, replace
 
-from .collector import CollectorConfig, collect_trace, distinct_count, kernel
+from .collector import VAL1, VAL2, CollectorConfig, collect_trace, distinct_count, kernel
 from .conditioner import DEFAULT_QUALITY_FLOOR
 from .timer import TimerSpec, default_clock, probe_resolution
 
@@ -43,7 +43,7 @@ class TuneResult:
 def _projected_probe_ns(config: CollectorConfig) -> int:
     """Estimate one probe triple's cost by timing a single kernel call."""
     t0 = time.perf_counter_ns()
-    kernel(config.val1, config.val2, config.scale)
+    kernel(VAL1, VAL2, config.scale)
     per_call = time.perf_counter_ns() - t0
     return PROBE_RUNS_PER_SCALE * config.samples * per_call
 

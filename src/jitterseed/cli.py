@@ -19,7 +19,7 @@ from . import analysis, autotune
 from .collector import CollectorConfig, collect_trace, distinct_count
 from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
 from .errors import SeederError, ShortStreamError
-from .timer import SimulatedClock, default_clock, probe_resolution
+from .timer import DEFAULT_PROBE_READS, SimulatedClock, default_clock, probe_resolution
 
 
 def _int_at_least(minimum: int):
@@ -45,14 +45,19 @@ def _path(text: str) -> str:
 
 
 def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
+    # The floor can only be raised: a lower one would let a seed out of fewer
+    # distinct deltas than the library's default gate demands.
     parser.add_argument(
         "--floor",
-        type=_int_at_least(2),
+        type=_int_at_least(DEFAULT_QUALITY_FLOOR),
         default=DEFAULT_QUALITY_FLOOR,
         help="minimum distinct deltas required (fail-closed)",
     )
     parser.add_argument(
-        "--budget-ms", type=_int_at_least(1), default=5000, help="tuning time budget"
+        "--budget-ms",
+        type=_int_at_least(1),
+        default=autotune.DEFAULT_BUDGET_NS // 1_000_000,
+        help="tuning time budget",
     )
 
 
@@ -236,10 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=int, default=CollectorConfig.scale, help="kernel repeat count per sample"
     )
     seed.add_argument(
-        "--samples", type=int, default=CollectorConfig.samples, help="timed runs per trace"
+        "--samples",
+        type=_int_at_least(1),
+        default=CollectorConfig.samples,
+        help="timed runs per trace",
     )
     seed.add_argument(
-        "--stretch", type=int, default=CollectorConfig.stretch, help="extra digest links"
+        "--stretch",
+        type=_int_at_least(0),
+        default=CollectorConfig.stretch,
+        help="extra digest links",
     )
     seed.add_argument("--tune", action="store_true", help="autotune scale first")
     _add_floor_budget(seed)
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     mk0.set_defaults(func=cmd_mk0)
 
     probe = sub.add_parser("probe", help="measure the timer's empirical resolution")
-    probe.add_argument("--reads", type=_int_at_least(2), default=1000)
+    probe.add_argument("--reads", type=_int_at_least(2), default=DEFAULT_PROBE_READS)
     _add_sim_flag(probe)
     probe.set_defaults(func=cmd_probe)
 

@@ -16,6 +16,10 @@ from .timer import TimerSpec, default_clock, probe_resolution
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+# The kernel's two addends.
+VAL1 = 2585566630
+VAL2 = 576722363
+
 # Collection is timing-sensitive; serialize it within the process.
 _collection_lock = threading.Lock()
 
@@ -28,8 +32,6 @@ class CollectorConfig:
     stretches runtimes past the timer's granularity on coarse clocks.
     """
 
-    val1: int = 2585566630
-    val2: int = 576722363
     samples: int = 100
     scale: int = 250
     stretch: int = 100
@@ -93,7 +95,7 @@ def collect_trace(
         # Buffer allocated in full before the timed region.
         deltas = [0] * config.samples
         read = clock.now_ticks
-        val1, val2, scale = config.val1, config.val2, config.scale
+        val1, val2, scale = VAL1, VAL2, config.scale
         checksum = 0
         for i in range(config.samples):
             t0 = read()
@@ -115,10 +117,6 @@ def collect_trace(
     )
 
 
-def distinct_count(trace) -> int:
-    """Number of distinct delta values; the collection-quality yardstick.
-
-    Accepts a TimingTrace or any iterable of deltas.
-    """
-    samples = getattr(trace, "samples", trace)
-    return len(set(samples))
+def distinct_count(trace: TimingTrace) -> int:
+    """Number of distinct delta values; the collection-quality yardstick."""
+    return len(set(trace.samples))

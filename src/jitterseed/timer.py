@@ -17,7 +17,7 @@ DEFAULT_PROBE_READS = 1000
 
 # When back-to-back reads never disagree, wait this long (host wall clock)
 # for the probed clock to advance before declaring it stuck.
-DEFAULT_ADVANCE_TIMEOUT_S = 1.0
+ADVANCE_TIMEOUT_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,12 @@ def default_clock() -> PerfCounterClock:
     return _default_clock
 
 
-def now_ticks() -> int:
-    """Current reading of the default monotonic clock, integer nanoseconds."""
-    return default_clock().now_ticks()
-
-
-def probe_resolution(
-    clock=None,
-    reads: int = DEFAULT_PROBE_READS,
-    advance_timeout_s: float = DEFAULT_ADVANCE_TIMEOUT_S,
-) -> TimerSpec:
+def probe_resolution(clock=None, reads: int = DEFAULT_PROBE_READS) -> TimerSpec:
     """Measure the smallest positive step the clock will show.
 
     Takes ``reads`` back-to-back read pairs and keeps the minimum positive
     delta. A coarse clock may sit still for every pair; in that case the probe
-    waits (bounded by ``advance_timeout_s`` of host wall time) for up to three
+    waits (bounded by ``ADVANCE_TIMEOUT_S`` of host wall time) for up to three
     advances and takes the smallest, so a 16 ms quantum reports ~16 ms instead
     of masquerading as a dead clock. Only a clock that never moves at all
     raises StuckClockError.
@@ -116,7 +107,7 @@ def probe_resolution(
         prev = cur
 
     if best is None:
-        deadline = time.monotonic() + advance_timeout_s
+        deadline = time.monotonic() + ADVANCE_TIMEOUT_S
         anchor = clock.now_ticks()
         seen = 0
         while seen < 3 and time.monotonic() < deadline:
@@ -130,7 +121,7 @@ def probe_resolution(
         if best is None:
             raise StuckClockError(
                 f"{clock.name} never advanced across {reads} read pairs "
-                f"and {advance_timeout_s:.3f}s of waiting"
+                f"and {ADVANCE_TIMEOUT_S:.3f}s of waiting"
             )
 
     return TimerSpec(

@@ -4,11 +4,27 @@ Mix of known-good stream blocks, degenerate constants, exact monobit and
 long-run boundary constructions, a bias ladder straddling the monobit bound,
 a too-uniform nibble histogram, and repeated-byte patterns with varied run
 structure. Fully reproducible from code; no binary fixture needed.
+
+Run as a script to regenerate tests/data/fips_golden.csv, the verdicts of an
+independent scorer on this corpus:
+
+    python tests/golden_blocks.py [--use-reference] [--out PATH]
+
+The system `rngtest` tool (rng-tools) scores each block when it is on PATH
+(reference_fips.rngtest_verdicts); otherwise, or with --use-reference, the
+in-repo reference implementation does (reference_fips.reference_verdicts).
 """
 
+import argparse
 import random
+import shutil
+import sys
+from pathlib import Path
+
+from reference_fips import reference_verdicts, rngtest_verdicts
 
 from jitterseed.conditioner import mk0_stream
+from jitterseed.fips import BLOCK_CSV_HEADER
 
 BLOCK_BYTES = 2500
 BLOCK_BITS = BLOCK_BYTES * 8
@@ -85,3 +101,30 @@ def golden_corpus() -> list[bytes]:
     blocks.extend(bytes([pattern]) * BLOCK_BYTES for pattern in PATTERN_BYTES)
     assert len(blocks) == 143
     return blocks
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden verdict CSV.")
+    parser.add_argument("--use-reference", action="store_true",
+                        help="score with the in-repo reference even if rngtest exists")
+    parser.add_argument("--out", default=str(Path(__file__).parent / "data" / "fips_golden.csv"))
+    args = parser.parse_args()
+
+    use_rngtest = not args.use_reference and shutil.which("rngtest") is not None
+    oracle = rngtest_verdicts if use_rngtest else reference_verdicts
+    print(f"oracle: {'system rngtest' if use_rngtest else 'in-repo reference'}",
+          file=sys.stderr)
+
+    blocks = golden_corpus()
+    with open(args.out, "w") as handle:
+        handle.write(BLOCK_CSV_HEADER + "\n")
+        for index, block in enumerate(blocks):
+            flags = [int(flag) for flag in oracle(block).values()]
+            handle.write(",".join(map(str, [index, *flags, int(all(flags))])) + "\n")
+
+    print(f"wrote {len(blocks)} golden rows to {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

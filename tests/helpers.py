@@ -1,5 +1,8 @@
-"""Shared test clocks and trace builders."""
+"""Shared test clocks, trace builders and readers for the analysis files."""
 
+import csv
+
+from jitterseed.analysis import HISTOGRAM_CSV_HEADER
 from jitterseed.collector import CollectorConfig, TimingTrace
 from jitterseed.timer import TimerSpec
 
@@ -68,3 +71,16 @@ def make_trace(samples, stretch: int = 100, scale: int = 250, timer: TimerSpec =
     samples = tuple(samples)
     config = CollectorConfig(samples=max(len(samples), 1), scale=scale, stretch=stretch)
     return TimingTrace(samples=samples, config=config, timer=timer, kernel_checksum=0)
+
+
+def read_value_log(path) -> list[int]:
+    with open(path) as handle:
+        return [int(line) for line in handle if line.strip()]
+
+
+def read_histogram_csv(path) -> dict[int, int]:
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows or tuple(rows[0]) != HISTOGRAM_CSV_HEADER:
+        raise ValueError(f"unexpected histogram CSV header: {rows[:1]}")
+    return {int(value): int(count) for value, count in rows[1:]}

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import reference_sha256
-from helpers import make_trace
+from helpers import make_trace, read_histogram_csv
 from golden_blocks import golden_corpus
 from reference_fips import rngtest_verdicts
 from jitterseed.analysis import (
@@ -21,7 +21,6 @@ from jitterseed.analysis import (
     estimate_worst_case_entropy,
     meets_seed_standard,
     merge_reports,
-    read_histogram_csv,
     report_document,
     top_k_overlap,
     write_histogram_csv,

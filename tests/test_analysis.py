@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TEST_TIMER, make_trace
+from helpers import TEST_TIMER, make_trace, read_histogram_csv, read_value_log
 from jitterseed.analysis import (
     DEFAULT_TOP_K,
     FLAT_RATIO_MAX,
@@ -17,8 +17,6 @@ from jitterseed.analysis import (
     estimate_worst_case_entropy,
     meets_seed_standard,
     merge_reports,
-    read_histogram_csv,
-    read_value_log,
     report_document,
     top_k_overlap,
     write_histogram_csv,
@@ -220,7 +218,7 @@ def test_report_document_contract_fields():
     report = aggregate_distribution([[1, 1, 2, 3]], k=2)
     config = CollectorConfig(samples=4)
     document = report_document(TEST_TIMER, config, report)
-    assert sorted(document) == ["config", "distribution", "entropy", "timer", "tuning"]
+    assert sorted(document) == ["config", "distribution", "entropy", "timer"]
     assert document["timer"]["name"] == "test"
     assert document["config"]["samples"] == 4
     distribution = document["distribution"]
@@ -234,20 +232,17 @@ def test_report_document_contract_fields():
     assert entropy["samples"] == 4
     assert entropy["bits"] == pytest.approx(4 * math.log2(3))
     assert entropy["meets_standard"] is False
-    assert document["tuning"] is None
 
 
 def test_report_document_json_round_trip(tmp_path):
     report = aggregate_distribution([list(range(25)) * 2], k=5)
     config = CollectorConfig(samples=50)
-    tuning = {"verdict": "already-adequate", "probe_runs": 3}
-    document = report_document(TEST_TIMER, config, report, tuning=tuning)
+    document = report_document(TEST_TIMER, config, report)
 
     buffer = io.StringIO()
     write_json_report(document, buffer)
     parsed = json.loads(buffer.getvalue())
     assert parsed["entropy"]["n_top"] == 20
-    assert parsed["tuning"]["verdict"] == "already-adequate"
 
     path = tmp_path / "report.json"
     write_json_report(document, path)

@@ -11,8 +11,10 @@ import pytest
 
 import jitterseed
 from jitterseed import cli
+from jitterseed.autotune import DEFAULT_BUDGET_NS
 from jitterseed.cli import run_cli
-from jitterseed.conditioner import mk0_stream
+from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR, mk0_stream
+from jitterseed.timer import DEFAULT_PROBE_READS
 
 SEED_BYTES = 32 * 101  # default stretch 100 -> 101 digests
 SUMMARY_RE = re.compile(r"^blocks=(\d+) passed=(\d+) rate=(\d\.\d{6})$")
@@ -350,6 +352,11 @@ def test_pipeline_mk0_into_fips():
         (["analyze", "--runs", "1", "--csv", ""], 2),
         (["analyze", "--runs", "1", "--json", ""], 2),
         (["fips", "{missing}", "--per-block", ""], 2),
+        (["seed", "--samples", "2", "--floor", "2", "--out", "{out}"], 2),
+        (["seed", "--simulate-quantum-ns", "20000", "--floor", "2", "--stretch", "0", "--out", "{out}"], 2),
+        (["tune", "--floor", "19"], 2),
+        (["seed", "--samples", "0", "--out", "{out}"], 2),
+        (["seed", "--stretch", "-1", "--out", "{out}"], 2),
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, code):
@@ -364,6 +371,15 @@ def test_bad_input_exits_cleanly(tmp_path, argv, code):
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert not out.exists() and not missing.exists()
+
+
+def test_parsed_defaults_come_from_the_library():
+    parser = cli.build_parser()
+    for command in ("seed", "tune"):
+        args = parser.parse_args([command])
+        assert args.budget_ms == DEFAULT_BUDGET_NS // 1_000_000
+        assert args.floor == DEFAULT_QUALITY_FLOOR
+    assert parser.parse_args(["probe"]).reads == DEFAULT_PROBE_READS
 
 
 def test_commands_without_battery_never_import_numpy(tmp_path):

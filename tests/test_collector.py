@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TEST_TIMER, ScriptedClock, SteppingClock, delta_script
+from helpers import TEST_TIMER, ScriptedClock, SteppingClock, delta_script, make_trace
 from jitterseed import collector
 from jitterseed.analysis import write_value_log
 from jitterseed.collector import (
@@ -34,7 +34,7 @@ def test_kernel_rejects_zero_scale():
 
 def test_config_defaults():
     config = CollectorConfig()
-    assert (config.val1, config.val2) == (2585566630, 576722363)
+    assert (collector.VAL1, collector.VAL2) == (2585566630, 576722363)
     assert (config.samples, config.scale, config.stretch) == (100, 250, 100)
 
 
@@ -54,7 +54,7 @@ def test_collect_trace_shape_and_provenance():
     assert trace.config == config
     assert trace.timer.monotonic
     # One addition result folded in per sample.
-    expected = (25 * (config.val1 + config.val2)) & 0xFFFFFFFFFFFFFFFF
+    expected = (25 * (collector.VAL1 + collector.VAL2)) & 0xFFFFFFFFFFFFFFFF
     assert trace.kernel_checksum == expected
 
 
@@ -100,8 +100,8 @@ def test_trace_is_immutable():
 
 
 def test_distinct_count_examples():
-    assert distinct_count([5, 5, 7]) == 2
-    assert distinct_count([]) == 0
+    assert distinct_count(make_trace([5, 5, 7])) == 2
+    assert distinct_count(make_trace([])) == 0
     trace = collect_trace(CollectorConfig(samples=3, scale=1), SteppingClock(step=5), TEST_TIMER)
     assert distinct_count(trace) == 1  # stepping clock gives identical deltas
 

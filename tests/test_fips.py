@@ -336,7 +336,7 @@ def test_rngtest_compare_reference_regenerates_golden_csv(tmp_path):
     proc = subprocess.run(
         [
             sys.executable,
-            str(REPO / "scripts" / "rngtest_compare.py"),
+            str(REPO / "tests" / "golden_blocks.py"),
             "--use-reference",
             "--out",
             str(out),

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from helpers import FrozenClock
 from jitterseed.errors import StuckClockError
+from jitterseed import timer
 from jitterseed.timer import (
     PerfCounterClock,
     SimulatedClock,
     TimerSpec,
-    now_ticks,
+    default_clock,
     probe_resolution,
 )
 
@@ -18,7 +19,8 @@ QUANTUM_16MS = 16_000_000
 
 
 def test_now_ticks_monotonic_and_nonnegative():
-    readings = [now_ticks() for _ in range(1000)]
+    clock = default_clock()
+    readings = [clock.now_ticks() for _ in range(1000)]
     assert all(t >= 0 for t in readings)
     assert all(b >= a for a, b in zip(readings, readings[1:]))
 
@@ -26,11 +28,12 @@ def test_now_ticks_monotonic_and_nonnegative():
 def test_now_ticks_tracks_wall_clock():
     # Busy-loop ~1 ms against an independent clock; the tick delta must
     # account for at least 0.9 ms of it.
-    t1 = now_ticks()
+    clock = default_clock()
+    t1 = clock.now_ticks()
     deadline = time.monotonic_ns() + 1_000_000
     while time.monotonic_ns() < deadline:
         pass
-    t2 = now_ticks()
+    t2 = clock.now_ticks()
     assert t2 - t1 >= 900_000
 
 
@@ -62,9 +65,10 @@ def test_probe_simulated_is_repeatable():
     assert first.resolution_ns == second.resolution_ns
 
 
-def test_probe_frozen_clock_raises_stuck():
+def test_probe_frozen_clock_raises_stuck(monkeypatch):
+    monkeypatch.setattr(timer, "ADVANCE_TIMEOUT_S", 0.05)
     with pytest.raises(StuckClockError):
-        probe_resolution(FrozenClock(), reads=10, advance_timeout_s=0.05)
+        probe_resolution(FrozenClock(), reads=10)
 
 
 def test_simulated_clock_quantizes_and_stays_monotonic():
