@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedClockError,
     WrongBlockSizeError,
 )
-from .timer import SimulatedClock, TimerSpec, probe_resolution
+from .timer import TimerSpec, probe_resolution
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "SeedOutput",
     "SeederError",
     "ShortStreamError",
-    "SimulatedClock",
     "StuckClockError",
     "TimerSpec",
     "TimingTrace",

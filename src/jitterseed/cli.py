@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -61,21 +62,6 @@ def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sim_flag(parser: argparse.ArgumentParser) -> None:
-    # Test hook: replace the real clock with a quantized one.
-    parser.add_argument(
-        "--simulate-quantum-ns",
-        type=_int_at_least(1),
-        help=argparse.SUPPRESS,
-    )
-
-
-def _make_clock(args):
-    if args.simulate_quantum_ns is not None:
-        return SimulatedClock(args.simulate_quantum_ns)
-    return default_clock()
-
-
 def _tune(args, base: CollectorConfig, clock, timer_spec=None) -> autotune.TuneResult:
     """Tune base within the command's floor and budget; report unattainable on stderr."""
     result = autotune.tune(
@@ -110,11 +96,16 @@ def _output(path):
     The file is written as a new mode-0600 file beside path, fsynced and then
     renamed over path, so path holds either its old content or all of the
     output, and no other user can read it. On any exception the temporary
-    file is removed.
+    file is removed. An existing path that is not a regular file is refused.
     """
     if path is None:
         yield sys.stdout.buffer
         return
+    # A rename would put a file in place of a FIFO or device; a symlink to a
+    # regular file is itself replaced.
+    with contextlib.suppress(FileNotFoundError):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise OSError(f"refusing to replace {path}: not a regular file")
     directory, name = os.path.split(os.path.abspath(path))
     temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
@@ -130,7 +121,8 @@ def _output(path):
 
 
 def cmd_seed(args) -> int:
-    clock = _make_clock(args)
+    quantum_ns = args.simulate_quantum_ns
+    clock = default_clock() if quantum_ns is None else SimulatedClock(quantum_ns)
     timer_spec = probe_resolution(clock)
     config = CollectorConfig(samples=args.samples, scale=args.scale, stretch=args.stretch)
 
@@ -158,13 +150,13 @@ def cmd_seed(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    result = _tune(args, CollectorConfig(), _make_clock(args))
+    result = _tune(args, CollectorConfig(), default_clock())
     analysis.write_json_report(result.to_dict(), sys.stdout)
     return 1 if result.verdict is autotune.TuneVerdict.UNATTAINABLE else 0
 
 
 def cmd_analyze(args) -> int:
-    clock = _make_clock(args)
+    clock = default_clock()
     timer_spec = probe_resolution(clock)
     config = CollectorConfig()
 
@@ -223,8 +215,7 @@ def cmd_mk0(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    clock = _make_clock(args)
-    timer_spec = probe_resolution(clock, reads=args.reads)
+    timer_spec = probe_resolution(default_clock(), reads=args.reads)
     analysis.write_json_report(asdict(timer_spec), sys.stdout)
     return 0
 
@@ -238,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     seed = sub.add_parser("seed", help="collect one trace and emit seed bytes")
     seed.add_argument(
-        "--scale", type=int, default=CollectorConfig.scale, help="kernel repeat count per sample"
+        "--scale",
+        type=_int_at_least(1),
+        default=CollectorConfig.scale,
+        help="kernel repeat count per sample",
     )
     seed.add_argument(
         "--samples",
@@ -256,12 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_floor_budget(seed)
     seed.add_argument("--out", type=_path, help="write seed bytes to this file")
     seed.add_argument("--hex", action="store_true", help="emit lowercase hex text")
-    _add_sim_flag(seed)
+    # Quantizes the real clock. Kept only for the benchmark's FailClosedOnce
+    # (perfbench/test_bench.py), which runs seed processes; tests inject
+    # cli.default_clock instead.
+    seed.add_argument("--simulate-quantum-ns", type=_int_at_least(1), help=argparse.SUPPRESS)
     seed.set_defaults(func=cmd_seed)
 
     tune = sub.add_parser("tune", help="find the smallest adequate scale")
     _add_floor_budget(tune)
-    _add_sim_flag(tune)
     tune.set_defaults(func=cmd_tune)
 
     analyze = sub.add_parser("analyze", help="collect traces and report the delta distribution")
@@ -272,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--log", type=_path, help="raw value log path")
     analyze.add_argument("--csv", type=_path, help="histogram CSV path")
     analyze.add_argument("--json", type=_path, help="JSON report path")
-    _add_sim_flag(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     fips_cmd = sub.add_parser("fips", help="run the statistical battery over a byte stream")
@@ -297,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     probe = sub.add_parser("probe", help="measure the timer's empirical resolution")
     probe.add_argument("--reads", type=_int_at_least(2), default=DEFAULT_PROBE_READS)
-    _add_sim_flag(probe)
     probe.set_defaults(func=cmd_probe)
 
     return parser

@@ -211,7 +211,12 @@ def fips_pass_rate(
     while blocks is None or tested < blocks:
         block = stream.read(BLOCK_BYTES)
         if len(block) < BLOCK_BYTES:
-            break
+            # A raw or interactive stream can return less than asked before
+            # EOF; only an empty read ends the stream.
+            while len(block) < BLOCK_BYTES and (more := stream.read(BLOCK_BYTES - len(block))):
+                block += more
+            if len(block) < BLOCK_BYTES:
+                break
         continuous_pass = None
         if continuous_check:
             repeated, last_word = _repeated_word(block, last_word)

@@ -232,7 +232,7 @@ def test_criterion_8_conditioning_invariants(tmp_path):
         ),
         run_cli(["seed", "--out", str(sink), "--no-such-flag"]),
     ]
-    fail_closed_ok = codes == [1, 1, 1, 2] and not sink.exists()
+    fail_closed_ok = codes == [1, 2, 1, 2] and not sink.exists()
 
     ok = replay_ok and chain_ok and avalanche >= 0.35 and fail_closed_ok
     check(

@@ -14,10 +14,15 @@ from jitterseed import cli
 from jitterseed.autotune import DEFAULT_BUDGET_NS
 from jitterseed.cli import run_cli
 from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR, mk0_stream
-from jitterseed.timer import DEFAULT_PROBE_READS
+from jitterseed.timer import DEFAULT_PROBE_READS, SimulatedClock
 
 SEED_BYTES = 32 * 101  # default stretch 100 -> 101 digests
 SUMMARY_RE = re.compile(r"^blocks=(\d+) passed=(\d+) rate=(\d\.\d{6})$")
+
+
+def use_quantized_clock(monkeypatch, quantum_ns):
+    """Make every command read a clock quantized to quantum_ns."""
+    monkeypatch.setattr(cli, "default_clock", lambda: SimulatedClock(quantum_ns))
 
 
 def test_no_command_is_usage_error(capsys):
@@ -89,6 +94,31 @@ def test_write_error_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert "No space left on device" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("argv", [["seed", "--stretch", "0"], ["mk0", "--count", "10"]])
+def test_out_refuses_a_target_that_is_not_a_regular_file(tmp_path, argv, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert run_cli([*argv, "--out", str(fifo)]) == 1
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "not a regular file" in captured.err
+
+
+def test_out_replaces_a_symlink_to_a_regular_file(tmp_path):
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.bin"
+    link.symlink_to(target)
+    assert run_cli(["mk0", "--count", "10", "--out", str(link)]) == 0
+    assert not link.is_symlink()
+    assert link.read_bytes() == mk0_stream(10)
+    assert target.read_bytes() == b"old"
+
+
 def test_seed_hex_output(tmp_path):
     out = tmp_path / "seed.hex"
     assert run_cli(["seed", "--hex", "--out", str(out)]) == 0
@@ -140,9 +170,9 @@ def test_seed_tune_unattainable_fails_closed(tmp_path, capsys):
     assert "unattainable" in capsys.readouterr().err
 
 
-def test_seed_invalid_scale_is_operational_error(tmp_path, capsys):
+def test_seed_invalid_scale_is_usage_error(tmp_path, capsys):
     out = tmp_path / "seed.bin"
-    assert run_cli(["seed", "--scale", "0", "--out", str(out)]) == 1
+    assert run_cli(["seed", "--scale", "0", "--out", str(out)]) == 2
     assert not out.exists()
     capsys.readouterr()
 
@@ -161,11 +191,13 @@ def test_seed_tune_success_writes_seed(tmp_path, capsys):
     "argv",
     [
         ["probe"],
-        ["tune", "--budget-ms", "200", "--simulate-quantum-ns", "16000000"],
+        ["tune", "--budget-ms", "200"],
         ["analyze", "--runs", "1"],
     ],
 )
-def test_json_stdout_is_indented_with_one_newline(argv, capsys):
+def test_json_stdout_is_indented_with_one_newline(argv, monkeypatch, capsys):
+    if argv[0] == "tune":
+        use_quantized_clock(monkeypatch, 16_000_000)
     run_cli(argv)
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -179,11 +211,9 @@ def test_tune_emits_json(capsys):
     assert payload["config"]["scale"] >= 250
 
 
-def test_tune_unattainable_exits_one_with_json(capsys):
-    code = run_cli(
-        ["tune", "--budget-ms", "200", "--simulate-quantum-ns", "16000000"]
-    )
-    assert code == 1
+def test_tune_unattainable_exits_one_with_json(monkeypatch, capsys):
+    use_quantized_clock(monkeypatch, 16_000_000)
+    assert run_cli(["tune", "--budget-ms", "200"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["verdict"] == "unattainable"
     assert "unattainable" in captured.err
@@ -307,8 +337,9 @@ def test_probe_reports_timer_json(capsys):
     assert payload["probe_reads"] == 1000
 
 
-def test_probe_simulated_quantum(capsys):
-    assert run_cli(["probe", "--simulate-quantum-ns", "1000000"]) == 0
+def test_probe_simulated_quantum(monkeypatch, capsys):
+    use_quantized_clock(monkeypatch, 1_000_000)
+    assert run_cli(["probe"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["name"] == "simulated-1000000ns"
     assert payload["resolution_ns"] % 1_000_000 == 0
@@ -357,6 +388,10 @@ def test_pipeline_mk0_into_fips():
         (["tune", "--floor", "19"], 2),
         (["seed", "--samples", "0", "--out", "{out}"], 2),
         (["seed", "--stretch", "-1", "--out", "{out}"], 2),
+        (["tune", "--budget-ms", "200", "--simulate-quantum-ns", "16000000"], 2),
+        (["analyze", "--runs", "1", "--simulate-quantum-ns", "16000000"], 2),
+        (["probe", "--simulate-quantum-ns", "1000000"], 2),
+        (["seed", "--scale", "0", "--out", "{out}"], 2),
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, code):

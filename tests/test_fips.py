@@ -174,6 +174,30 @@ def test_bytes_and_stream_sources_agree():
     assert from_bytes == from_stream
 
 
+class TrickleStream(io.RawIOBase):
+    """A raw stream that returns at most `most` bytes per read, as a pipe or
+    terminal can long before EOF."""
+
+    def __init__(self, data: bytes, most: int = 1000):
+        self._data = memoryview(data)
+        self._most = most
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), self._most, len(self._data))
+        buffer[:n] = self._data[:n]
+        self._data = self._data[n:]
+        return n
+
+
+@pytest.mark.parametrize("blocks", [None, 128])
+def test_short_reads_are_not_eof(blocks):
+    data = mk0_stream(10000)  # exactly 128 blocks
+    assert fips_pass_rate(TrickleStream(data), blocks) == fips_pass_rate(data, blocks)
+
+
 def test_short_stream_carries_partial_tally():
     data = mk0_stream(200)  # 6400 bytes -> 2 complete blocks + remainder
     with pytest.raises(ShortStreamError) as excinfo:
