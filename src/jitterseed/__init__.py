@@ -19,17 +19,11 @@ from .autotune import TuneResult, TuneVerdict, tune
 from .collector import CollectorConfig, TimingTrace, collect_trace, distinct_count, kernel
 from .conditioner import SeedOutput, condition, mk0_stream, serialize_trace
 from .errors import (
-    EmptyInputError,
-    EmptyTraceError,
     InsufficientEntropyError,
-    InsufficientValuesError,
-    InvalidConfigError,
     NonMonotonicTimerError,
     SeederError,
     ShortStreamError,
     StuckClockError,
-    UnsupportedClockError,
-    WrongBlockSizeError,
 )
 from .timer import TimerSpec, probe_resolution
 
@@ -51,14 +45,10 @@ def __getattr__(name: str):
 __all__ = [
     "CollectorConfig",
     "DistributionReport",
-    "EmptyInputError",
-    "EmptyTraceError",
     "EntropyEstimate",
     "FipsBlockResult",
     "FipsRateReport",
     "InsufficientEntropyError",
-    "InsufficientValuesError",
-    "InvalidConfigError",
     "NonMonotonicTimerError",
     "SeedOutput",
     "SeederError",
@@ -68,8 +58,6 @@ __all__ = [
     "TimingTrace",
     "TuneResult",
     "TuneVerdict",
-    "UnsupportedClockError",
-    "WrongBlockSizeError",
     "aggregate_distribution",
     "collect_trace",
     "condition",

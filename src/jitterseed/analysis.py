@@ -16,8 +16,6 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .errors import EmptyInputError, InsufficientValuesError
-
 DEFAULT_TOP_K = 20
 
 # Ratio of most- to least-common top-k count at or below which a distribution
@@ -88,7 +86,7 @@ def aggregate_distribution(traces, k: int = DEFAULT_TOP_K) -> DistributionReport
         histogram.update(_samples_of(trace))
         runs += 1
     if not histogram:
-        raise EmptyInputError("need at least one non-empty trace")
+        raise ValueError("need at least one non-empty trace")
     return _report_from_histogram(histogram, k, runs)
 
 
@@ -106,7 +104,7 @@ def merge_reports(reports, k: int = DEFAULT_TOP_K) -> DistributionReport:
         merged.update(report.histogram)
         runs += report.runs
     if not merged:
-        raise EmptyInputError("need at least one report to merge")
+        raise ValueError("need at least one report to merge")
     return _report_from_histogram(merged, k, runs)
 
 
@@ -116,9 +114,7 @@ def top_k_overlap(a: DistributionReport, b: DistributionReport, k: int = DEFAULT
         raise ValueError(f"k must be >= 1, got {k}")
     for name, report in (("first", a), ("second", b)):
         if report.unique_values < k:
-            raise InsufficientValuesError(
-                f"{name} report has {report.unique_values} unique values, need {k}"
-            )
+            raise ValueError(f"{name} report has {report.unique_values} unique values, need {k}")
     top_a = {value for value, _ in _ranked(a.histogram)[:k]}
     top_b = {value for value, _ in _ranked(b.histogram)[:k]}
     return len(top_a & top_b)

@@ -65,7 +65,6 @@ def tune(
         raise ValueError(f"floor must be >= 2, got {floor}")
     if budget_ns <= 0:
         raise ValueError(f"budget_ns must be positive, got {budget_ns}")
-    base.validate()
     if clock is None:
         clock = default_clock()
 

@@ -170,8 +170,6 @@ def cmd_analyze(args) -> int:
         analysis.write_histogram_csv(report, args.csv)
 
     document = analysis.report_document(timer_spec, config, report)
-    if args.json is not None:
-        analysis.write_json_report(document, args.json)
     analysis.write_json_report(document, sys.stdout)
     return 0
 
@@ -188,9 +186,10 @@ def cmd_fips(args) -> int:
             stream = stack.enter_context(open(args.source, "rb"))
         sink = None
         if args.per_block is not None:
-            csv_handle = stack.enter_context(open(args.per_block, "w"))
-            csv_handle.write(fips.BLOCK_CSV_HEADER + "\n")
-            sink = lambda result: csv_handle.write(fips.block_csv_row(result) + "\n")
+            # Written like --out, so the CSV may replace the file being read.
+            csv_file = stack.enter_context(_output(args.per_block))
+            csv_file.write(f"{fips.BLOCK_CSV_HEADER}\n".encode())
+            sink = lambda result: csv_file.write(f"{fips.block_csv_row(result)}\n".encode())
         try:
             report = fips.fips_pass_rate(
                 stream,
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--k", type=_int_at_least(1), default=analysis.DEFAULT_TOP_K)
     analyze.add_argument("--log", type=_path, help="raw value log path")
     analyze.add_argument("--csv", type=_path, help="histogram CSV path")
-    analyze.add_argument("--json", type=_path, help="JSON report path")
     analyze.set_defaults(func=cmd_analyze)
 
     fips_cmd = sub.add_parser("fips", help="run the statistical battery over a byte stream")

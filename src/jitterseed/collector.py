@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError, NonMonotonicTimerError
+from .errors import NonMonotonicTimerError
 from .timer import TimerSpec, default_clock, probe_resolution
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -29,20 +29,21 @@ class CollectorConfig:
     """Knobs for one collection run.
 
     scale is the per-sample workload repeat count; it is the lever that
-    stretches runtimes past the timer's granularity on coarse clocks.
+    stretches runtimes past the timer's granularity on coarse clocks. A value
+    out of range raises ValueError when the config is built or replaced.
     """
 
     samples: int = 100
     scale: int = 250
     stretch: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.samples < 1:
-            raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.scale < 1:
-            raise InvalidConfigError(f"scale must be >= 1, got {self.scale}")
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
         if self.stretch < 0:
-            raise InvalidConfigError(f"stretch must be >= 0, got {self.stretch}")
+            raise ValueError(f"stretch must be >= 0, got {self.stretch}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ def collect_trace(
     Probes the clock first unless a TimerSpec is supplied. Holds the
     process-wide collection lock for the whole timed section.
     """
-    config.validate()
     if clock is None:
         clock = default_clock()
     if timer_spec is None:

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from .collector import TimingTrace, distinct_count
-from .errors import EmptyTraceError, InsufficientEntropyError
+from .errors import InsufficientEntropyError
 
 DEFAULT_QUALITY_FLOOR = 20
 
@@ -79,7 +79,7 @@ def serialize_trace(trace: TimingTrace) -> bytes:
     in collection order."""
     samples = trace.samples
     if not samples:
-        raise EmptyTraceError("cannot serialize a trace with no samples")
+        raise ValueError("cannot serialize a trace with no samples")
     return b"".join(delta.to_bytes(8, "big") for delta in samples)
 
 

@@ -1,12 +1,12 @@
-"""Exception types shared across the seeder pipeline."""
+"""Exception types for seeding runs that fail.
+
+A bad argument is a caller's mistake and raises ValueError; a SeederError
+means a run with valid arguments could not produce what was asked.
+"""
 
 
 class SeederError(Exception):
     """Base class for operational failures in the seeding pipeline."""
-
-
-class UnsupportedClockError(SeederError):
-    """No monotonic high-resolution clock is available on this platform."""
 
 
 class StuckClockError(SeederError):
@@ -17,31 +17,11 @@ class NonMonotonicTimerError(SeederError):
     """The timer stepped backwards, or is not flagged monotonic."""
 
 
-class InvalidConfigError(SeederError):
-    """A collection config violates its bounds (samples, scale, stretch)."""
-
-
-class EmptyTraceError(SeederError):
-    """A trace with no samples was passed where deltas are required."""
-
-
 class InsufficientEntropyError(SeederError):
     """The trace's distinct-delta count is below the quality floor.
 
     Raised before any seed material is produced; nothing is written.
     """
-
-
-class InsufficientValuesError(SeederError):
-    """A report holds fewer distinct values than the requested top-k."""
-
-
-class EmptyInputError(SeederError):
-    """No traces (or only empty traces) were given to aggregate."""
-
-
-class WrongBlockSizeError(SeederError):
-    """A statistical-test block is not exactly 20000 bits."""
 
 
 class ShortStreamError(SeederError):

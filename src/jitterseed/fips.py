@@ -16,7 +16,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ShortStreamError, WrongBlockSizeError
+from .errors import ShortStreamError
 
 BLOCK_BITS = 20000
 BLOCK_BYTES = BLOCK_BITS // 8
@@ -121,9 +121,7 @@ def fips_block_tests(
     recorded in the result as given (None when the check did not run).
     """
     if len(block) != BLOCK_BYTES:
-        raise WrongBlockSizeError(
-            f"block must be exactly {BLOCK_BYTES} bytes, got {len(block)}"
-        )
+        raise ValueError(f"block must be exactly {BLOCK_BYTES} bytes, got {len(block)}")
     arr = np.frombuffer(block, dtype=np.uint8)
 
     # Monobit and poker both read one 256-bin histogram of the byte values.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import StuckClockError, UnsupportedClockError
+from .errors import StuckClockError
 
 DEFAULT_PROBE_READS = 1000
 
@@ -39,12 +39,8 @@ class PerfCounterClock:
     """
 
     name = "perf_counter_ns"
-
-    def __init__(self):
-        info = time.get_clock_info("perf_counter")
-        if not info.monotonic:
-            raise UnsupportedClockError("perf_counter is not monotonic here")
-        self.monotonic = True
+    # CPython's perf_counter is monotonic on every platform it supports.
+    monotonic = True
 
     def now_ticks(self) -> int:
         return time.perf_counter_ns()
@@ -70,14 +66,8 @@ class SimulatedClock:
         return (self._base.now_ticks() // self.quantum_ns) * self.quantum_ns
 
 
-_default_clock = None
-
-
 def default_clock() -> PerfCounterClock:
-    global _default_clock
-    if _default_clock is None:
-        _default_clock = PerfCounterClock()
-    return _default_clock
+    return PerfCounterClock()
 
 
 def probe_resolution(clock=None, reads: int = DEFAULT_PROBE_READS) -> TimerSpec:

@@ -12,7 +12,7 @@ from jitterseed.autotune import (
 )
 from jitterseed.collector import CollectorConfig
 from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR
-from jitterseed.errors import InvalidConfigError, StuckClockError
+from jitterseed.errors import StuckClockError
 from jitterseed.timer import SimulatedClock
 
 
@@ -22,7 +22,7 @@ def test_validation_rejects_bad_arguments():
         tune(base, floor=1)
     with pytest.raises(ValueError):
         tune(base, budget_ns=0)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValueError, match=r"^scale must be >= 1, got 0$"):
         tune(CollectorConfig(scale=0))
 
 

@@ -222,7 +222,6 @@ def test_tune_unattainable_exits_one_with_json(monkeypatch, capsys):
 def test_analyze_writes_all_artifacts(tmp_path, capsys):
     log = tmp_path / "values.log"
     csv_path = tmp_path / "hist.csv"
-    json_path = tmp_path / "report.json"
     code = run_cli(
         [
             "analyze",
@@ -234,14 +233,11 @@ def test_analyze_writes_all_artifacts(tmp_path, capsys):
             str(log),
             "--csv",
             str(csv_path),
-            "--json",
-            str(json_path),
         ]
     )
     assert code == 0
 
     document = json.loads(capsys.readouterr().out)
-    assert document == json.loads(json_path.read_text())
     assert document["distribution"]["total_samples"] == 300
     assert document["distribution"]["runs"] == 3
     assert len(document["distribution"]["top_k"]) <= 5
@@ -283,6 +279,41 @@ def test_fips_exact_blocks_and_per_block_csv(tmp_path, capsys):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert set("".join(first[1:])) <= {"0", "1"}
+
+
+def test_fips_per_block_may_replace_its_own_input(tmp_path, capsys):
+    data = tmp_path / "stream.bin"
+    data.write_bytes(mk0_stream(400))  # 12800 bytes: five blocks
+    assert run_cli(["fips", str(data)]) == 0
+    summary = capsys.readouterr().out
+
+    assert run_cli(["fips", str(data), "--per-block", str(data)]) == 0
+    assert capsys.readouterr().out == summary
+    assert summary.startswith("blocks=5 ")
+    lines = data.read_text().splitlines()
+    assert lines[0] == "block,monobit,poker,runs,longrun,pass"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+    assert stat.S_IMODE(data.stat().st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["stream.bin"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fips_per_block_refuses_a_fifo(tmp_path):
+    data = tmp_path / "stream.bin"
+    data.write_bytes(mk0_stream(400))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # A subprocess, so that opening the FIFO for writing cannot hang the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "jitterseed", "fips", str(data), "--per-block", str(fifo)],
+        capture_output=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: refusing to replace")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "stream.bin"]
 
 
 def test_fips_short_stream_partial_summary(tmp_path, capsys):

@@ -14,7 +14,7 @@ from jitterseed.collector import (
     distinct_count,
     kernel,
 )
-from jitterseed.errors import InvalidConfigError, NonMonotonicTimerError
+from jitterseed.errors import NonMonotonicTimerError
 from jitterseed.timer import SimulatedClock
 
 
@@ -42,7 +42,7 @@ def test_config_defaults():
     "bad", [dict(samples=0), dict(scale=0), dict(stretch=-1), dict(samples=-5)]
 )
 def test_collect_trace_rejects_invalid_config(bad):
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(ValueError, match=r"^(samples|scale|stretch) must be >= [01], got -?\d+$"):
         collect_trace(CollectorConfig(**bad), SteppingClock(), TEST_TIMER)
 
 

@@ -15,7 +15,7 @@ from jitterseed.conditioner import (
     mk0_stream,
     serialize_trace,
 )
-from jitterseed.errors import EmptyTraceError, InsufficientEntropyError
+from jitterseed.errors import InsufficientEntropyError
 from jitterseed.timer import TimerSpec
 from reference_sha256 import sha256 as ref_sha256
 
@@ -35,7 +35,7 @@ def test_serialize_is_big_endian_u64_in_order():
 
 
 def test_serialize_empty_trace_rejected():
-    with pytest.raises(EmptyTraceError):
+    with pytest.raises(ValueError, match="^cannot serialize a trace with no samples$"):
         serialize_trace(make_trace([]))
 
 

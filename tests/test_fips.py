@@ -23,7 +23,7 @@ from golden_blocks import (
     pack_bits,
 )
 from jitterseed.conditioner import mk0_stream
-from jitterseed.errors import ShortStreamError, WrongBlockSizeError
+from jitterseed.errors import ShortStreamError
 from jitterseed.fips import (
     BLOCK_CSV_HEADER,
     FipsBlockResult,
@@ -79,7 +79,7 @@ def crafted_repeat_blocks() -> list[bytes]:
 def test_block_size_is_20000_bits():
     assert BLOCK_BYTES == 2500
     for bad in (b"", b"\x00" * 2499, b"\x00" * 2501):
-        with pytest.raises(WrongBlockSizeError):
+        with pytest.raises(ValueError, match=rf"^block must be exactly 2500 bytes, got {len(bad)}$"):
             fips_block_tests(bad)
 
 
