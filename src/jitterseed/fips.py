@@ -88,28 +88,201 @@ class FipsRateReport:
         return self.blocks_passed / self.blocks_tested if self.blocks_tested else 0.0
 
 
-class _BlockBuffers(threading.local):
-    """Scratch arrays sized for one block, reused by every block a thread tests.
+# Blocks tested per numpy call; fips_pass_rate reads this many at a time.
+CHUNK_BLOCKS = 16
 
-    Fresh int64 temporaries for each block (about 300 KB) let glibc trim the
-    heap top when they are freed and fault it back in on the next block. The
-    temporaries left are the unpacked bits and the histogram's widened copy of
-    the block (20 KB each) and the run-edge index (8 bytes a run, about 80 KB
-    on random data).
+_WORDS_PER_BLOCK = BLOCK_BYTES // 4
+
+# The run tallies come from counts of all-equal windows. With W(L) the number
+# of L-bit windows whose bits all equal one value, that value has
+# W(L) - W(L+1) runs of L bits or more, so W(L) - 2*W(L+1) + W(L+2) of exactly
+# L. Lengths 1-5 and "6 or more" need W(1) to W(7).
+_WINDOW_BITS = 7
+
+
+def _byte_tables():
+    """Per-byte run tables and the window table, built once at import.
+
+    A byte's lead is its first run and its trail its last, each coded as
+    8 * bit value + length - 1; the pair code 16 * trail + lead of a byte and
+    the next describes the boundary between them. Row b < 256 of the window
+    table counts the all-equal windows inside byte b, row 256 + pair code those
+    that cross such a boundary; column 7 * v + L - 1 counts windows of L bits
+    equal to v. A window of at most 7 bits lies in one byte or crosses one
+    boundary, so the two histograms give W(1) to W(7).
+    """
+    byte = np.arange(256)
+    bits = np.unpackbits(byte.astype(np.uint8)[:, None], axis=1).astype(np.intp)
+    # zeros[b, p]: length of the run of zero bits of byte b that ends at bit
+    # p; the leading run reaches bit p when that length is p + 1.
+    zeros = np.zeros((256, 8), dtype=np.intp)
+    zeros[:, 0] = 1 - bits[:, 0]
+    for p in range(1, 8):
+        zeros[:, p] = (1 - bits[:, p]) * (zeros[:, p - 1] + 1)
+    trail_zeros = zeros[:, 7]
+    lead_zeros = (zeros == np.arange(1, 9)).sum(axis=1)
+    # Xor with 0xff turns runs of ones into runs of zeros.
+    trail_codes = 8 * bits[:, 7] + trail_zeros[byte ^ (0xFF * bits[:, 7])] - 1
+    lead_codes = 8 * bits[:, 0] + lead_zeros[byte ^ (0xFF * bits[:, 0])] - 1
+
+    window = np.arange(1, _WINDOW_BITS + 1)
+    inside_zeros = (zeros[..., None] >= window).sum(axis=1)
+    inside = np.concatenate((inside_zeros, inside_zeros[byte ^ 0xFF]), axis=1)
+
+    code = np.arange(16)
+    value, length = code >> 3, (code & 7) + 1
+    joined = value[:, None] == value[None, :]
+    # A crossing window of L bits takes a >= 1 bits of the trail and
+    # L - a >= 1 of the lead.
+    taken = np.minimum(length[:, None, None], window - 1) - np.maximum(
+        1, window - length[None, :, None]
+    )
+    crossing = np.maximum(taken + 1, 0) * joined[..., None]
+    of_value = value[:, None, None, None] == np.arange(2)[:, None]
+    pairs = crossing[:, :, None, :] * of_value
+
+    # Float64 holds every window count exactly, and its BLAS product is far
+    # faster than numpy's integer one.
+    table = np.concatenate((inside, pairs.reshape(256, 2 * _WINDOW_BITS))).astype(np.float64)
+    joins = ((length[:, None] + length[None, :]) * joined).reshape(256)
+    trail_high = (16 * trail_codes).astype(np.uint8)
+    return trail_high, lead_codes.astype(np.uint8), trail_zeros, lead_zeros, table, joins
+
+
+# _TRAIL_HIGH[b] is 16 * trail code of byte b, _LEAD[b] its lead code, so that
+# their bitwise or is the pair code. _TRAIL_ZEROS[b] and _LEAD_ZEROS[b] count
+# the zero bits that end and start byte b. _JOIN_BITS[pair code] is the length
+# of the run joined across the boundary (0 when trail and lead differ in value).
+_TRAIL_HIGH, _LEAD, _TRAIL_ZEROS, _LEAD_ZEROS, _WINDOW_TABLE, _JOIN_BITS = _byte_tables()
+
+# Block k of a chunk counts its bytes into bins 512k + byte value and its
+# boundaries into bins 512k + 256 + pair code.
+_BYTE_BINS = 512 * np.arange(CHUNK_BLOCKS, dtype=np.intp)[:, None]
+_PAIR_BINS = _BYTE_BINS + 256
+
+# W(1) to W(7), one per row, times this matrix gives the runs of exact length
+# 1 to 5 and then those of 6 bits or more.
+_RUN_DIFFERENCES = np.array(
+    [
+        [1, 0, 0, 0, 0, 0],
+        [-2, 1, 0, 0, 0, 0],
+        [1, -2, 1, 0, 0, 0],
+        [0, 1, -2, 1, 0, 0],
+        [0, 0, 1, -2, 1, 0],
+        [0, 0, 0, 1, -2, 1],
+        [0, 0, 0, 0, 1, -1],
+    ],
+    dtype=np.float64,
+)
+
+_RUN_LO = np.array([lo for lo, _ in RUN_INTERVALS])
+_RUN_HI = np.array([hi for _, hi in RUN_INTERVALS])
+
+
+class _ChunkBuffers(threading.local):
+    """Scratch arrays sized for one chunk, reused by every chunk a thread tests.
+
+    Fresh copies of the bin indices (about 640 KB a chunk) would come and go
+    with every chunk, and freeing them lets glibc trim the heap top and fault
+    it back in on the next chunk.
     """
 
     def __init__(self) -> None:
-        # change[i]: bit i starts a run, or i == BLOCK_BITS ends the last one.
-        self.change = np.ones(BLOCK_BITS + 1, dtype=bool)
-        self.lengths = np.empty(BLOCK_BITS, dtype=np.intp)
+        self.bytes = np.empty((CHUNK_BLOCKS, BLOCK_BYTES), dtype=np.intp)
+        self.pairs = np.empty((CHUNK_BLOCKS, BLOCK_BYTES - 1), dtype=np.intp)
+        self.trail = np.empty((CHUNK_BLOCKS, BLOCK_BYTES), dtype=np.uint8)
+        self.lead = np.empty((CHUNK_BLOCKS, BLOCK_BYTES), dtype=np.uint8)
 
 
-_buffers = _BlockBuffers()
+_buffers = _ChunkBuffers()
 
-# Set bits of each byte value.
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.intp
-)
+
+def _raise_to_chain_runs(flat, longest) -> None:
+    """Raise each block's longest run to its runs through 0x00 or 0xff bytes.
+
+    Such a run is a chain of equal uniform bytes, plus the bits of the byte
+    before and the byte after that equal the chain's: the trailing and the
+    leading zeros of those bytes xor the chain's byte.
+    """
+    at = ((flat == 0) | (flat == 0xFF)).nonzero()[0]
+    if not at.size:
+        return
+    uniform, offset = flat[at], at % BLOCK_BYTES
+    # A chain ends before a gap, a change of byte or the start of a block.
+    starts = np.ones(at.size, dtype=bool)
+    starts[1:] = (np.diff(at) != 1) | (uniform[1:] != uniform[:-1]) | (offset[1:] == 0)
+    first = starts.nonzero()[0]
+    last = np.append(first[1:], at.size) - 1
+    start, end, chain = at[first], at[last], uniform[first]
+    bits = 8 * (end - start + 1)
+    bits += _TRAIL_ZEROS[flat[start - 1] ^ chain] * (offset[first] != 0)
+    bits += _LEAD_ZEROS[flat.take(end + 1, mode="clip") ^ chain] * (offset[last] != BLOCK_BYTES - 1)
+    np.maximum.at(longest, start // BLOCK_BYTES, bits)
+
+
+def _test_blocks(data, first_index: int, continuous: list) -> list[FipsBlockResult]:
+    """Run the four tests on each whole block of data, at most CHUNK_BLOCKS.
+
+    continuous holds each block's continuous-check verdict, recorded as given.
+    """
+    count = len(data) // BLOCK_BYTES
+    arr = np.frombuffer(data, dtype=np.uint8).reshape(count, BLOCK_BYTES)
+    index = _buffers.bytes[:count]
+    np.copyto(index, arr)
+    # mode="clip" lets take write straight into out; every index is in range.
+    trail = np.take(_TRAIL_HIGH, index, out=_buffers.trail[:count], mode="clip")
+    lead = np.take(_LEAD, index, out=_buffers.lead[:count], mode="clip")
+    index += _BYTE_BINS[:count]
+    histogram = np.bincount(index.ravel(), minlength=512 * count)
+    pairs = np.bitwise_or(trail[:, :-1], lead[:, 1:], out=_buffers.pairs[:count])
+    pairs += _PAIR_BINS[:count]
+    histogram += np.bincount(pairs.ravel(), minlength=512 * count)
+    histogram = histogram.reshape(count, 512)
+
+    windows = (histogram @ _WINDOW_TABLE).reshape(count, 2, _WINDOW_BITS)
+    runs = (windows @ _RUN_DIFFERENCES).astype(np.intp)
+    runs_pass = ((_RUN_LO <= runs) & (runs <= _RUN_HI)).all(axis=(1, 2))
+    ones = windows[:, 1, 0].astype(np.intp)
+
+    # Row h, column l of each 16x16 view counts the bytes 0xhl.
+    by_nibbles = histogram[:, :256].reshape(count, 16, 16)
+    nibbles = by_nibbles.sum(axis=1) + by_nibbles.sum(axis=2)
+    d = (nibbles * nibbles).sum(axis=1)
+
+    # The longest run: within 7 bits the windows say it, a run across one
+    # boundary is a trail joined to a lead, and a longer one holds a uniform byte.
+    present = windows > 0
+    longest = np.maximum(
+        (present[:, 0] | present[:, 1]).sum(axis=1),
+        ((histogram[:, 256:] > 0) * _JOIN_BITS).max(axis=1),
+    )
+    _raise_to_chain_runs(arr.ravel(), longest)
+
+    columns = zip(
+        ones.tolist(), d.tolist(), runs.tolist(), runs_pass.tolist(), longest.tolist(), continuous
+    )
+    return [
+        FipsBlockResult(
+            block_index=block_index,
+            ones=block_ones,
+            monobit_pass=MONOBIT_LO < block_ones < MONOBIT_HI,
+            poker_statistic=16.0 * block_d / 5000.0 - 5000.0,
+            poker_pass=POKER_D_LO < block_d < POKER_D_HI,
+            run_counts=(tuple(zero_runs), tuple(one_runs)),
+            runs_pass=block_runs_pass,
+            max_run=max_run,
+            long_run_pass=max_run < LONG_RUN_BITS,
+            continuous_pass=continuous_pass,
+        )
+        for block_index, (
+            block_ones,
+            block_d,
+            (zero_runs, one_runs),
+            block_runs_pass,
+            max_run,
+            continuous_pass,
+        ) in enumerate(columns, first_index)
+    ]
 
 
 def fips_block_tests(
@@ -122,62 +295,34 @@ def fips_block_tests(
     """
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"block must be exactly {BLOCK_BYTES} bytes, got {len(block)}")
-    arr = np.frombuffer(block, dtype=np.uint8)
-
-    # Monobit and poker both read one 256-bin histogram of the byte values.
-    byte_counts = np.bincount(arr, minlength=256)
-    ones = int(byte_counts @ _POPCOUNT)
-    monobit_pass = MONOBIT_LO < ones < MONOBIT_HI
-
-    # Row h, column l of the 16x16 view counts the bytes 0xhl.
-    by_nibbles = byte_counts.reshape(16, 16)
-    nibble_counts = by_nibbles.sum(axis=0) + by_nibbles.sum(axis=1)
-    d = int(nibble_counts @ nibble_counts)
-    poker_pass = POKER_D_LO < d < POKER_D_HI
-    poker_statistic = 16.0 * d / 5000.0 - 5000.0
-
-    # Run edges: the start of every maximal same-bit stretch, then BLOCK_BITS.
-    bits = np.unpackbits(arr)
-    np.not_equal(bits[1:], bits[:-1], out=_buffers.change[1:-1])
-    edges = np.flatnonzero(_buffers.change)
-    lengths = _buffers.lengths[: edges.size - 1]
-    np.subtract(edges[1:], edges[:-1], out=lengths)
-    max_run = int(lengths.max())
-    long_run_pass = max_run < LONG_RUN_BITS
-
-    # Bucket 6*bit + min(length, 6) - 1, formed in place: zero-runs in 0..5,
-    # one-runs in 6..11. Runs alternate in value, so every other run is a
-    # one-run, starting with the first when the block's first bit is 1.
-    buckets = np.minimum(lengths, 6, out=lengths)
-    buckets[int(bits[0] == 0) :: 2] += 6
-    buckets -= 1
-    counts = np.bincount(buckets, minlength=12).reshape(2, 6).tolist()
-    runs_pass = all(
-        lo <= counts[bit_value][i] <= hi
-        for bit_value in (0, 1)
-        for i, (lo, hi) in enumerate(RUN_INTERVALS)
-    )
-
-    return FipsBlockResult(
-        block_index=block_index,
-        ones=ones,
-        monobit_pass=monobit_pass,
-        poker_statistic=poker_statistic,
-        poker_pass=poker_pass,
-        run_counts=(tuple(counts[0]), tuple(counts[1])),
-        runs_pass=runs_pass,
-        max_run=max_run,
-        long_run_pass=long_run_pass,
-        continuous_pass=continuous_pass,
-    )
+    return _test_blocks(block, block_index, [continuous_pass])[0]
 
 
-def _repeated_word(block: bytes, last_word: bytes | None) -> tuple[bool, bytes]:
-    """Scan consecutive 32-bit words (carrying across blocks) for a repeat."""
+def _repeated_words(data: bytes, last_word: bytes | None) -> tuple[list[bool], bytes]:
+    """Per block of data, whether one of its 32-bit words repeats the word
+    before it (carried across blocks, the first from last_word); and the last
+    word of data."""
     # Equality does not depend on byte order, and native words compare faster.
-    words = np.frombuffer(block, dtype=np.uint32)
-    repeated = block[:4] == last_word or bool((words[1:] == words[:-1]).any())
-    return repeated, block[-4:]
+    words = np.frombuffer(data, dtype=np.uint32)
+    repeated = np.empty(words.size, dtype=bool)
+    repeated[0] = data[:4] == last_word
+    np.equal(words[1:], words[:-1], out=repeated[1:])
+    return repeated.reshape(-1, _WORDS_PER_BLOCK).any(axis=1).tolist(), data[-4:]
+
+
+def _read_blocks(stream, count: int) -> bytes:
+    """The whole blocks among the next count * BLOCK_BYTES bytes of stream.
+
+    A raw or interactive stream can return less than asked before EOF; only
+    an empty read ends the stream. Bytes of a last partial block are dropped.
+    """
+    wanted = count * BLOCK_BYTES
+    parts = []
+    while wanted and (part := stream.read(wanted)):
+        parts.append(part)
+        wanted -= len(part)
+    data = b"".join(parts)
+    return data[: len(data) - len(data) % BLOCK_BYTES]
 
 
 def fips_pass_rate(
@@ -191,7 +336,8 @@ def fips_pass_rate(
     With `blocks` given, exactly that many are required; running dry early
     raises ShortStreamError with the partial report attached. With blocks=None
     every complete block until EOF is tested (at least one must exist).
-    block_sink, if given, receives each FipsBlockResult as it is produced.
+    Blocks are read and tested CHUNK_BLOCKS at a time, and never past `blocks`.
+    block_sink, if given, receives each FipsBlockResult in block order.
     The continuous check flags any repeat of consecutive 32-bit words, carried
     across block boundaries; it is off by default.
     """
@@ -207,27 +353,28 @@ def fips_pass_rate(
     last_word: bytes | None = None
 
     while blocks is None or tested < blocks:
-        block = stream.read(BLOCK_BYTES)
-        if len(block) < BLOCK_BYTES:
-            # A raw or interactive stream can return less than asked before
-            # EOF; only an empty read ends the stream.
-            while len(block) < BLOCK_BYTES and (more := stream.read(BLOCK_BYTES - len(block))):
-                block += more
-            if len(block) < BLOCK_BYTES:
-                break
-        continuous_pass = None
+        wanted = CHUNK_BLOCKS if blocks is None else min(CHUNK_BLOCKS, blocks - tested)
+        data = _read_blocks(stream, wanted)
+        count = len(data) // BLOCK_BYTES
+        if not count:
+            break
+        continuous = [None] * count
         if continuous_check:
-            repeated, last_word = _repeated_word(block, last_word)
-            continuous_pass = not repeated
-        result = fips_block_tests(block, block_index=tested, continuous_pass=continuous_pass)
-        tested += 1
-        if result.passed:
-            passed += 1
-        for name, ok in result.verdicts.items():
-            if not ok:
-                failures[name] += 1
-        if block_sink is not None:
-            block_sink(result)
+            repeated, last_word = _repeated_words(data, last_word)
+            continuous = [not flag for flag in repeated]
+        for result in _test_blocks(data, tested, continuous):
+            verdicts = result.verdicts
+            if all(verdicts.values()):
+                passed += 1
+            else:
+                for name, ok in verdicts.items():
+                    if not ok:
+                        failures[name] += 1
+            if block_sink is not None:
+                block_sink(result)
+        tested += count
+        if count < wanted:
+            break
 
     report = FipsRateReport(blocks_tested=tested, blocks_passed=passed, failures=failures)
     if tested < (blocks or 1):

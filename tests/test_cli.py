@@ -20,6 +20,13 @@ SEED_BYTES = 32 * 101  # default stretch 100 -> 101 digests
 SUMMARY_RE = re.compile(r"^blocks=(\d+) passed=(\d+) rate=(\d\.\d{6})$")
 
 
+@pytest.fixture(autouse=True)
+def keep_openblas_threads_unset(monkeypatch):
+    # cmd_fips sets OPENBLAS_NUM_THREADS for its whole process; undo that
+    # after each in-process test, so that later tests start as they would.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+
 def use_quantized_clock(monkeypatch, quantum_ns):
     """Make every command read a clock quantized to quantum_ns."""
     monkeypatch.setattr(cli, "default_clock", lambda: SimulatedClock(quantum_ns))
@@ -314,6 +321,84 @@ def test_fips_per_block_refuses_a_fifo(tmp_path):
     assert proc.stderr.startswith(b"error: refusing to replace")
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fifo", "stream.bin"]
+
+
+def test_analyze_files_are_private_and_atomic(tmp_path, capsys):
+    log, csv_path = tmp_path / "values.log", tmp_path / "hist.csv"
+    log.write_text("old\n")
+    assert run_cli(["analyze", "--runs", "1", "--log", str(log), "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert len(log.read_text().splitlines()) == 100
+    assert csv_path.read_bytes().startswith(b"value_ns,count\r\n")
+    assert stat.S_IMODE(log.stat().st_mode) == stat.S_IMODE(csv_path.stat().st_mode) == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["hist.csv", "values.log"]
+
+
+def test_analyze_log_and_csv_may_not_share_a_path(tmp_path, capsys):
+    same = tmp_path / "same.txt"
+    argv = ["analyze", "--runs", "1", "--log", str(same), "--csv", f"{tmp_path}/./same.txt"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --log and --csv name the same file")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("flag", ["--log", "--csv"])
+def test_analyze_refuses_a_fifo(tmp_path, flag):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    other = "--csv" if flag == "--log" else "--log"
+    # A subprocess, so that opening the FIFO for writing cannot hang the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "jitterseed", "analyze", "--runs", "1"]
+        + [other, str(tmp_path / "other.txt"), flag, str(fifo)],
+        capture_output=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: refusing to replace")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # Neither file is written when one of them is refused.
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+# Records OPENBLAS_NUM_THREADS as numpy is first imported, then runs fips.
+OPENBLAS_SCRIPT = """
+import os, sys
+from jitterseed.cli import run_cli
+
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+assert run_cli(["fips", sys.argv[1], "--blocks", "1"]) == 0
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_fips_keeps_openblas_to_one_thread_unless_told(tmp_path, preset, expected):
+    data = tmp_path / "one.bin"
+    data.write_bytes(mk0_stream(79))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENBLAS_SCRIPT, str(data)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == expected
 
 
 def test_fips_short_stream_partial_summary(tmp_path, capsys):

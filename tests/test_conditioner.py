@@ -1,6 +1,8 @@
 import hashlib
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -206,6 +208,44 @@ def test_condition_holds_one_copy_of_the_material():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * seed.total_bytes
+
+
+# Six stretched self-checks in a fresh interpreter, each printing the peak RSS
+# so far (KiB): conditioning at the benchmark's stretch, then the battery over
+# 5000 blocks of the material.
+STRETCH_THEN_BATTERY_SCRIPT = """
+import random, resource
+from jitterseed.collector import CollectorConfig, TimingTrace
+from jitterseed.conditioner import condition
+from jitterseed.fips import fips_pass_rate
+from jitterseed.timer import TimerSpec
+
+rng = random.Random(390625)
+trace = TimingTrace(
+    samples=tuple(rng.randrange(40_000, 60_000) for _ in range(100)),
+    config=CollectorConfig(stretch=390625),
+    timer=TimerSpec(name="test", resolution_ns=1, monotonic=True, probe_reads=2),
+    kernel_checksum=0,
+)
+for _ in range(6):
+    fips_pass_rate(condition(trace).to_bytes(), blocks=5000)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_repeated_stretched_runs_keep_their_peak():
+    proc = subprocess.run(
+        [sys.executable, "-c", STRETCH_THEN_BATTERY_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peaks = [int(line) for line in proc.stdout.split()]
+    assert len(peaks) == 6
+    # From the end of the first run, which sizes the battery's buffers.
+    assert peaks[-1] - peaks[0] < 6 * 1024
 
 
 def loop_mk0(count: int) -> bytes:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from golden_blocks import (
     BLOCK_BITS,
     BLOCK_BYTES,
+    biased_block,
     block_with_ones,
     block_with_run,
     flat_nibble_block,
@@ -26,8 +27,9 @@ from jitterseed.conditioner import mk0_stream
 from jitterseed.errors import ShortStreamError
 from jitterseed.fips import (
     BLOCK_CSV_HEADER,
+    CHUNK_BLOCKS,
     FipsBlockResult,
-    _repeated_word,
+    _repeated_words,
     block_csv_row,
     fips_block_tests,
     fips_pass_rate,
@@ -268,6 +270,55 @@ def test_continuous_check_off_by_default():
     assert results[0].continuous_pass is None
 
 
+def mk0_blocks(count: int) -> bytes:
+    return mk0_stream(-(-count * BLOCK_BYTES // 32))[: count * BLOCK_BYTES]
+
+
+def test_repeated_word_across_chunks_flags_the_second_block():
+    data = bytearray(mk0_blocks(CHUNK_BLOCKS + 1))
+    boundary = CHUNK_BLOCKS * BLOCK_BYTES
+    data[boundary : boundary + 4] = data[boundary - 4 : boundary]
+    seen = []
+    report = fips_pass_rate(bytes(data), continuous_check=True, block_sink=seen.append)
+    assert [r.continuous_pass for r in seen] == [True] * CHUNK_BLOCKS + [False]
+    assert report.failures["continuous"] == 1
+
+
+def test_block_count_reads_no_further_than_its_blocks():
+    stream = io.BytesIO(mk0_blocks(2 * CHUNK_BLOCKS + 1))
+    report = fips_pass_rate(stream, blocks=CHUNK_BLOCKS + 3)
+    assert report.blocks_tested == CHUNK_BLOCKS + 3
+    assert stream.tell() == (CHUNK_BLOCKS + 3) * BLOCK_BYTES
+
+
+def mixed_blocks(count: int) -> list[bytes]:
+    """Random, biased and constant blocks; most start or end with a chain of
+    0x00 or 0xff bytes, so that chains of one value meet at block boundaries."""
+    rng = random.Random(2 * CHUNK_BLOCKS + 5)
+    constants = [b"\x00" * BLOCK_BYTES, b"\xff" * BLOCK_BYTES, b"\x55" * BLOCK_BYTES]
+    blocks = []
+    for index in range(count):
+        if index % 7 == 3:
+            block = bytearray(constants[index % 3])
+        elif index % 7 == 5:
+            block = bytearray(biased_block(rng.choice((0.1, 0.9)), seed=index))
+        else:
+            block = bytearray(rng.randbytes(BLOCK_BYTES))
+        head, tail = rng.randrange(4), rng.randrange(4)
+        block[:head] = bytes([rng.choice((0x00, 0xFF))]) * head
+        block[BLOCK_BYTES - tail :] = bytes([rng.choice((0x00, 0xFF))]) * tail
+        blocks.append(bytes(block))
+    return blocks
+
+
+def test_chunked_results_match_single_block_tests():
+    blocks = mixed_blocks(2 * CHUNK_BLOCKS + 5)
+    seen = []
+    fips_pass_rate(b"".join(blocks), block_sink=seen.append)
+    assert seen == [fips_block_tests(block, block_index=i) for i, block in enumerate(blocks)]
+    assert seen == [numpy_reference_block_tests(block, i) for i, block in enumerate(blocks)]
+
+
 def test_summary_line_format():
     report = fips_pass_rate(mk0_stream(160), blocks=2)
     line = summary_line(report)
@@ -320,9 +371,16 @@ def test_repeated_word_matches_loop_reference():
     for block in blocks:
         carried = (None, block[:4], block[-4:], bytes(b ^ 0xFF for b in block[:4]))
         for last_word in carried:
-            assert _repeated_word(block, last_word) == loop_repeated_word(
-                block, last_word
-            )
+            repeated, last = loop_repeated_word(block, last_word)
+            assert _repeated_words(block, last_word) == ([repeated], last)
+    # One chunk: the word carried into each block is the one before it.
+    chunk = blocks[-CHUNK_BLOCKS:]
+    expected, last = [], None
+    for block in chunk:
+        repeated, last = loop_repeated_word(block, last)
+        expected.append(repeated)
+    assert True in expected
+    assert _repeated_words(b"".join(chunk), None) == (expected, last)
 
 
 @pytest.mark.parametrize("continuous", [False, True])
