@@ -6,71 +6,48 @@ stretch the trace into seed bytes. Analysis tooling and a built-in
 FIPS 140-2 battery keep the source honest.
 """
 
-from .analysis import (
-    DistributionReport,
-    EntropyEstimate,
-    aggregate_distribution,
-    estimate_worst_case_entropy,
-    meets_seed_standard,
-    merge_reports,
-    top_k_overlap,
-)
-from .autotune import TuneResult, TuneVerdict, tune
-from .collector import CollectorConfig, TimingTrace, collect_trace, distinct_count, kernel
-from .conditioner import SeedOutput, condition, mk0_stream, serialize_trace
-from .errors import (
-    InsufficientEntropyError,
-    NonMonotonicTimerError,
-    SeederError,
-    ShortStreamError,
-    StuckClockError,
-)
-from .timer import TimerSpec, probe_resolution
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The battery's names load its module, and numpy with it, on first use.
-_FIPS_NAMES = frozenset(
-    ("FipsBlockResult", "FipsRateReport", "fips_block_tests", "fips_pass_rate")
-)
+# Each public name, under the module that defines it. A name loads its module
+# on first use, so `import jitterseed` alone imports no submodule, and only
+# the battery's names bring in numpy.
+_NAMES = {
+    "analysis": (
+        "DistributionReport",
+        "EntropyEstimate",
+        "aggregate_distribution",
+        "estimate_worst_case_entropy",
+        "meets_seed_standard",
+        "merge_reports",
+        "top_k_overlap",
+    ),
+    "autotune": ("TuneResult", "TuneVerdict", "tune"),
+    "collector": ("CollectorConfig", "TimingTrace", "collect_trace", "distinct_count", "kernel"),
+    "conditioner": ("SeedOutput", "condition", "mk0_stream", "serialize_trace"),
+    "errors": (
+        "InsufficientEntropyError",
+        "NonMonotonicTimerError",
+        "SeederError",
+        "ShortStreamError",
+        "StuckClockError",
+    ),
+    "fips": ("FipsBlockResult", "FipsRateReport", "fips_block_tests", "fips_pass_rate"),
+    "timer": ("TimerSpec", "probe_resolution"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(name for names in _NAMES.values() for name in names)
 
 
 def __getattr__(name: str):
-    if name in _FIPS_NAMES:
-        from . import fips
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
-        return getattr(fips, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "CollectorConfig",
-    "DistributionReport",
-    "EntropyEstimate",
-    "FipsBlockResult",
-    "FipsRateReport",
-    "InsufficientEntropyError",
-    "NonMonotonicTimerError",
-    "SeedOutput",
-    "SeederError",
-    "ShortStreamError",
-    "StuckClockError",
-    "TimerSpec",
-    "TimingTrace",
-    "TuneResult",
-    "TuneVerdict",
-    "aggregate_distribution",
-    "collect_trace",
-    "condition",
-    "distinct_count",
-    "estimate_worst_case_entropy",
-    "fips_block_tests",
-    "fips_pass_rate",
-    "kernel",
-    "meets_seed_standard",
-    "merge_reports",
-    "mk0_stream",
-    "probe_resolution",
-    "serialize_trace",
-    "top_k_overlap",
-    "tune",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 operational failure (insufficient entropy, stuck
-clock, unattainable tuning, short stream, file I/O), 2 usage error, including
-out-of-range option values. Seed bytes go to the chosen sink and nothing else
-ever shares it: when seeding to stdout, all summaries and diagnostics go to
-stderr.
+clock, unattainable tuning, short stream, file I/O, out of memory), 2 usage
+error, including out-of-range option values. Seed bytes go to the chosen sink
+and nothing else ever shares it: when seeding to stdout, all summaries and
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import analysis, autotune
 from .collector import CollectorConfig, collect_trace, distinct_count
 from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
 from .errors import SeederError, ShortStreamError
-from .timer import DEFAULT_PROBE_READS, SimulatedClock, default_clock, probe_resolution
+from .timer import SimulatedClock, default_clock, probe_resolution
 
 
 def _int_at_least(minimum: int):
@@ -169,7 +169,7 @@ def cmd_analyze(args) -> int:
     config = CollectorConfig()
 
     traces = [collect_trace(config, clock, timer_spec) for _ in range(args.runs)]
-    report = analysis.aggregate_distribution(traces, k=args.k)
+    report = analysis.aggregate_distribution(traces)
 
     all_values = [value for trace in traces for value in trace.samples]
     artifacts = (
@@ -232,7 +232,7 @@ def cmd_mk0(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    timer_spec = probe_resolution(default_clock(), reads=args.reads)
+    timer_spec = probe_resolution(default_clock())
     analysis.write_json_report(asdict(timer_spec), sys.stdout)
     return 0
 
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--runs", type=_int_at_least(1), default=30, help="collection runs to aggregate"
     )
-    analyze.add_argument("--k", type=_int_at_least(1), default=analysis.DEFAULT_TOP_K)
     analyze.add_argument("--log", type=_path, help="raw value log path")
     analyze.add_argument("--csv", type=_path, help="histogram CSV path")
     analyze.set_defaults(func=cmd_analyze)
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     mk0.set_defaults(func=cmd_mk0)
 
     probe = sub.add_parser("probe", help="measure the timer's empirical resolution")
-    probe.add_argument("--reads", type=_int_at_least(2), default=DEFAULT_PROBE_READS)
     probe.set_defaults(func=cmd_probe)
 
     return parser
@@ -332,6 +330,9 @@ def run_cli(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

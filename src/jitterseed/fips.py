@@ -285,17 +285,11 @@ def _test_blocks(data, first_index: int, continuous: list) -> list[FipsBlockResu
     ]
 
 
-def fips_block_tests(
-    block: bytes, block_index: int = 0, continuous_pass: bool | None = None
-) -> FipsBlockResult:
-    """Run the four tests on exactly one 20000-bit block.
-
-    continuous_pass is the caller's continuous-check verdict for the block,
-    recorded in the result as given (None when the check did not run).
-    """
+def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
+    """Run the four tests on exactly one 20000-bit block (no continuous check)."""
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"block must be exactly {BLOCK_BYTES} bytes, got {len(block)}")
-    return _test_blocks(block, block_index, [continuous_pass])[0]
+    return _test_blocks(block, block_index, [None])[0]
 
 
 def _repeated_words(data: bytes, last_word: bytes | None) -> tuple[list[bool], bytes]:
