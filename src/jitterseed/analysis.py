@@ -8,11 +8,9 @@ knows the n_top hottest values still faces n_top^samples orderings.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -139,26 +137,20 @@ def meets_seed_standard(estimate: EntropyEstimate) -> bool:
     return estimate.bits >= SEED_STANDARD_BITS
 
 
-def _text_sink(sink):
-    """Open a path for text writing, or pass an open handle through unclosed."""
-    if isinstance(sink, (str, bytes, os.PathLike)):
-        return open(sink, "w", newline="")
-    return contextlib.nullcontext(sink)
+def write_value_log(trace, handle) -> None:
+    """One decimal delta per line, in collection order, to an open text handle."""
+    for value in _samples_of(trace):
+        handle.write(f"{value}\n")
 
 
-def write_value_log(trace, sink) -> None:
-    """One decimal delta per line, in collection order."""
-    with _text_sink(sink) as handle:
-        for value in _samples_of(trace):
-            handle.write(f"{value}\n")
+def write_histogram_csv(report: DistributionReport, handle) -> None:
+    """Full histogram as CSV, rows sorted by count desc then value asc.
 
-
-def write_histogram_csv(report: DistributionReport, sink) -> None:
-    """Full histogram as CSV, rows sorted by count desc then value asc."""
-    with _text_sink(sink) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(HISTOGRAM_CSV_HEADER)
-        writer.writerows(_ranked(report.histogram))
+    A file handle should be opened with newline="", as the csv module asks.
+    """
+    writer = csv.writer(handle)
+    writer.writerow(HISTOGRAM_CSV_HEADER)
+    writer.writerows(_ranked(report.histogram))
 
 
 def report_document(timer_spec, config, report: DistributionReport) -> dict:
@@ -184,7 +176,6 @@ def report_document(timer_spec, config, report: DistributionReport) -> dict:
     }
 
 
-def write_json_report(document: dict, sink) -> None:
-    with _text_sink(sink) as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+def write_json_report(document: dict, handle) -> None:
+    json.dump(document, handle, indent=2)
+    handle.write("\n")

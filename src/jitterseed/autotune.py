@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .collector import VAL1, VAL2, CollectorConfig, collect_trace, distinct_count, kernel
 from .conditioner import DEFAULT_QUALITY_FLOOR
@@ -33,11 +33,8 @@ class TuneResult:
     probe_runs: int
     achieved_distinct: int
     elapsed_ns: int
+    # A str enum, so JSON writes the verdict as its value.
     verdict: TuneVerdict
-
-    def to_dict(self) -> dict:
-        # The verdict stays a TuneVerdict, which JSON writes as its str value.
-        return asdict(self)
 
 
 def _projected_probe_ns(config: CollectorConfig) -> int:

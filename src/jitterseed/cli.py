@@ -20,7 +20,7 @@ from dataclasses import asdict
 from . import analysis, autotune
 from .collector import CollectorConfig, collect_trace, distinct_count
 from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
-from .errors import SeederError, ShortStreamError
+from .errors import InsufficientEntropyError, SeederError, ShortStreamError
 from .timer import SimulatedClock, default_clock, probe_resolution
 
 
@@ -64,17 +64,20 @@ def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
 
 
 def _tune(args, base: CollectorConfig, clock, timer_spec=None) -> autotune.TuneResult:
-    """Tune base within the command's floor and budget; report unattainable on stderr."""
-    result = autotune.tune(
+    """Tune base within the command's floor and budget."""
+    return autotune.tune(
         base, clock, timer_spec, floor=args.floor, budget_ns=args.budget_ms * 1_000_000
     )
+
+
+def _tuned_config(args, result: autotune.TuneResult) -> CollectorConfig:
+    """The tuned config; a floor the tuner could not reach fails the run."""
     if result.verdict is autotune.TuneVerdict.UNATTAINABLE:
-        print(
-            f"error: tuning unattainable within {args.budget_ms} ms "
-            f"(best median distinct {result.achieved_distinct}, floor {args.floor})",
-            file=sys.stderr,
+        raise InsufficientEntropyError(
+            f"tuning unattainable within {args.budget_ms} ms "
+            f"(best median distinct {result.achieved_distinct}, floor {args.floor})"
         )
-    return result
+    return result.config
 
 
 def _write_all(sink, payload: bytes) -> None:
@@ -128,10 +131,7 @@ def cmd_seed(args) -> int:
     config = CollectorConfig(samples=args.samples, scale=args.scale, stretch=args.stretch)
 
     if args.tune:
-        result = _tune(args, config, clock, timer_spec)
-        if result.verdict is autotune.TuneVerdict.UNATTAINABLE:
-            return 1
-        config = result.config
+        config = _tuned_config(args, _tune(args, config, clock, timer_spec))
 
     trace = collect_trace(config, clock, timer_spec)
     seed = condition(trace, quality_floor=args.floor)
@@ -152,8 +152,10 @@ def cmd_seed(args) -> int:
 
 def cmd_tune(args) -> int:
     result = _tune(args, CollectorConfig(), default_clock())
-    analysis.write_json_report(result.to_dict(), sys.stdout)
-    return 1 if result.verdict is autotune.TuneVerdict.UNATTAINABLE else 0
+    # The report is written whatever the verdict, then an unattainable one fails.
+    analysis.write_json_report(asdict(result), sys.stdout)
+    _tuned_config(args, result)
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -216,10 +218,11 @@ def cmd_fips(args) -> int:
                 block_sink=sink,
             )
         except ShortStreamError as exc:
+            # Leaving the block by an exception keeps the CSV from replacing
+            # its target; the partial tally is still reported.
             if exc.partial is not None:
                 print(fips.summary_line(exc.partial))
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            raise
 
     print(fips.summary_line(report))
     return 0

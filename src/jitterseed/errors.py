@@ -18,7 +18,8 @@ class NonMonotonicTimerError(SeederError):
 
 
 class InsufficientEntropyError(SeederError):
-    """The trace's distinct-delta count is below the quality floor.
+    """The trace's distinct-delta count is below the quality floor, or tuning
+    could not reach the floor within its budget.
 
     Raised before any seed material is produced; nothing is written.
     """

@@ -26,10 +26,11 @@ MONOBIT_LO = 9725
 MONOBIT_HI = 10275
 
 # Poker over 5000 4-bit segments. With d = sum of squared pattern counts the
-# statistic is X = (16/5000)*d - 5000 and the pass band 2.16 < X < 46.17;
-# comparing d against precomputed integer bounds keeps the test float-free.
-POKER_D_LO = 1563176
-POKER_D_HI = 1576928
+# statistic is X = (16/5000)*d - 5000 and the pass band 2.16 < X < 46.17.
+# X moves in steps of 0.0032, so POKER_D_LO < d < POKER_D_HI is exactly that
+# band: d = 1563176 (X = 2.1632) and d = 1576928 (X = 46.1696) both pass.
+POKER_D_LO = 1563175
+POKER_D_HI = 1576929
 
 # Required count interval per run length (1..5, then 6 and longer), applied to
 # zero-runs and one-runs alike. Bounds are inclusive.

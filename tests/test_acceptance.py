@@ -286,7 +286,8 @@ def test_criterion_9_analysis_conservation(tmp_path):
 
     report = aggregate_distribution([[rng.randrange(0, 50) for _ in range(500)]])
     csv_path = tmp_path / "hist.csv"
-    write_histogram_csv(report, csv_path)
+    with open(csv_path, "w", newline="") as handle:
+        write_histogram_csv(report, handle)
     with open(csv_path, newline="") as handle:
         parsed_rows = list(csv.reader(handle))
     csv_ok = (
@@ -299,7 +300,8 @@ def test_criterion_9_analysis_conservation(tmp_path):
         probe_resolution(default_clock()), CollectorConfig(), report
     )
     json_path = tmp_path / "report.json"
-    write_json_report(document, json_path)
+    with open(json_path, "w") as handle:
+        write_json_report(document, handle)
     json_ok = json.loads(json_path.read_text()) == document
 
     ok = merge_ok and overlap_ok and csv_ok and json_ok

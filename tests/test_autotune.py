@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_result_serializes_to_json():
         elapsed_ns=1234,
         verdict=TuneVerdict.TUNED,
     )
-    payload = json.loads(json.dumps(result.to_dict()))
+    payload = json.loads(json.dumps(asdict(result)))
     assert payload["verdict"] == "tuned"
     assert payload["config"]["scale"] == 16
     assert payload["probe_runs"] == 6

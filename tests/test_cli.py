@@ -417,6 +417,29 @@ def test_fips_empty_file_eof_mode_fails(tmp_path, capsys):
     assert "at least 1" in captured.err
 
 
+def test_failed_fips_keeps_its_per_block_target(tmp_path, capsys):
+    # The CSV would replace the input; a short stream must leave it as it was.
+    data = tmp_path / "short.bin"
+    data.write_bytes(mk0_stream(79)[:2500])  # exactly one block
+    before = data.read_bytes()
+    assert run_cli(["fips", str(data), "--blocks", "3", "--per-block", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("blocks=1 ")
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert data.read_bytes() == before
+    assert os.listdir(tmp_path) == ["short.bin"]
+
+
+def test_failed_fips_creates_no_per_block_file(tmp_path, capsys):
+    data = tmp_path / "empty.bin"
+    data.write_bytes(b"")
+    new = tmp_path / "new.csv"
+    assert run_cli(["fips", str(data), "--per-block", str(new)]) == 1
+    capsys.readouterr()
+    assert not new.exists()
+    assert os.listdir(tmp_path) == ["empty.bin"]
+
+
 def test_fips_reads_stdin_dash(monkeypatch, capsys):
     fake = type("FakeStdin", (), {"buffer": io.BytesIO(mk0_stream(1000)[:2500])})()
     monkeypatch.setattr(sys, "stdin", fake)

@@ -141,6 +141,45 @@ def test_too_uniform_nibbles_fail_poker():
     assert not result.poker_pass
 
 
+def poker_block(d: int) -> bytes:
+    """A block whose nibble counts have sum of squares exactly d.
+
+    Starts from counts of eight 312s and eight 313s (d = 1562504) and moves
+    single counts from a count a to a count b, each move adding 2(b - a + 1),
+    taking the largest move that does not overshoot.
+    """
+    counts = [312] * 8 + [313] * 8
+    remaining = d - sum(c * c for c in counts)
+    while remaining:
+        step, i, j = max(
+            (2 * (counts[j] - counts[i] + 1), i, j)
+            for i in range(16)
+            for j in range(16)
+            if i != j and 0 < 2 * (counts[j] - counts[i] + 1) <= remaining
+        )
+        counts[i] -= 1
+        counts[j] += 1
+        remaining -= step
+    nibbles = [pattern for pattern, count in enumerate(counts) for _ in range(count)]
+    random.Random(7).shuffle(nibbles)
+    return bytes((hi << 4) | lo for hi, lo in zip(nibbles[::2], nibbles[1::2]))
+
+
+@pytest.mark.parametrize(
+    "d,expected",
+    [(1563174, False), (1563176, True), (1576928, True), (1576930, False)],
+)
+def test_poker_band_is_the_published_band(d, expected):
+    # d = 1563176 and 1576928 are X = 2.1632 and 46.1696, just inside
+    # 2.16 < X < 46.17; their neighbours two steps out lie outside it.
+    block = poker_block(d)
+    result = fips_block_tests(block)
+    statistic = (16 / 5000) * d - 5000
+    assert result.poker_statistic == pytest.approx(statistic)
+    assert result.poker_pass is reference_verdicts(block)["poker"] is (2.16 < statistic < 46.17)
+    assert result.poker_pass is expected
+
+
 def test_mk0_stream_blocks_pass_at_reference_rate():
     report = fips_pass_rate(mk0_stream(100000), blocks=128)
     assert report.blocks_tested == 128
