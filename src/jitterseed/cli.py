@@ -23,6 +23,9 @@ from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
 from .errors import InsufficientEntropyError, SeederError, ShortStreamError
 from .timer import SimulatedClock, default_clock, probe_resolution
 
+# Chunks of mk0 output (64 KiB each, so 8 MiB) that may wait for a slow reader.
+MK0_BACKLOG_CHUNKS = 128
+
 
 def _int_at_least(minimum: int):
     """Argparse type for an integer >= minimum; anything else is a usage error."""
@@ -229,8 +232,64 @@ def cmd_fips(args) -> int:
 
 
 def cmd_mk0(args) -> int:
-    with _output(args.out) as sink:
-        mk0_stream(args.count, lambda chunk: _write_all(sink, chunk))
+    # Hashing runs ahead of a reader that is slow to start (fips spends about
+    # 125 ms importing numpy) instead of blocking on a full pipe: a writer
+    # thread writes the chunks, and at most MK0_BACKLOG_CHUNKS wait for it.
+    # At the default 5 ms switch interval a writer back from a pipe write
+    # waits up to that long for the hashing thread to yield the interpreter
+    # lock, which made the pipeline slower than writing on one thread.
+    import queue
+    import threading
+
+    chunks = queue.Queue(maxsize=MK0_BACKLOG_CHUNKS)
+    failed = []
+
+    def write_chunks(fd: int) -> None:
+        # After a failure the rest is taken and dropped, so that a hand-off
+        # never waits on a writer that stopped.
+        with open(fd, "wb", buffering=0) as out:
+            while (chunk := chunks.get()) is not None:
+                if not failed:
+                    try:
+                        _write_all(out, chunk)
+                    except BaseException as exc:
+                        failed.append(exc)
+
+    def hand_over(chunk: bytes) -> None:
+        if failed:
+            raise failed[0]
+        chunks.put(chunk)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5e-4)
+    try:
+        with _output(args.out) as sink:
+            # The writer has a descriptor of its own and no buffer, so it
+            # shares no lock with the sink and may outlive it: stuck on a
+            # stalled reader, it cannot hold up the interpreter's exit.
+            fd = os.dup(sink.fileno())
+            writer = threading.Thread(target=write_chunks, args=(fd,), daemon=True)
+            writer.start()
+            try:
+                mk0_stream(args.count, hand_over)
+                chunks.put(None)
+                writer.join()
+            except BaseException:
+                # Drop the backlog so that the end marker fits without waiting.
+                with contextlib.suppress(queue.Empty):
+                    while True:
+                        chunks.get_nowait()
+                chunks.put_nowait(None)
+                # A write to a regular file (all that --out accepts) ends, so
+                # the writer is waited for; a reader of stdout may never read
+                # again, and an interrupted run must not wait for it.
+                if args.out is not None:
+                    writer.join()
+                raise
+            if failed:
+                raise failed[0]
+    finally:
+        sys.setswitchinterval(interval)
     return 0
 
 

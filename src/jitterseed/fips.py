@@ -72,7 +72,7 @@ class FipsBlockResult:
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts.values())
+        return all(_BATTERY_FLAGS(self)) and self.continuous_pass is not False
 
 
 @dataclass(frozen=True)
@@ -358,13 +358,14 @@ def fips_pass_rate(
             repeated, last_word = _repeated_words(data, last_word)
             continuous = [not flag for flag in repeated]
         for result in _test_blocks(data, tested, continuous):
-            verdicts = result.verdicts
-            if all(verdicts.values()):
+            if result.passed:
                 passed += 1
             else:
-                for name, ok in verdicts.items():
+                for name, ok in zip(BATTERY_TESTS, _BATTERY_FLAGS(result)):
                     if not ok:
                         failures[name] += 1
+                if result.continuous_pass is False:
+                    failures["continuous"] += 1
             if block_sink is not None:
                 block_sink(result)
         tested += count
@@ -389,6 +390,5 @@ def summary_line(report: FipsRateReport) -> str:
 
 
 def block_csv_row(result: FipsBlockResult) -> str:
-    verdicts = result.verdicts
-    flags = [verdicts[name] for name in BATTERY_TESTS] + [result.passed]
-    return f"{result.block_index}," + ",".join(["1" if flag else "0" for flag in flags])
+    monobit, poker, runs, long_run = _BATTERY_FLAGS(result)
+    return f"{result.block_index},{monobit:d},{poker:d},{runs:d},{long_run:d},{result.passed:d}"

@@ -1,11 +1,15 @@
+import hashlib
 import io
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -13,7 +17,7 @@ import jitterseed
 from jitterseed import cli
 from jitterseed.autotune import DEFAULT_BUDGET_NS
 from jitterseed.cli import run_cli
-from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR, mk0_stream
+from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR, MK0_CHUNK_DIGESTS, mk0_stream
 from jitterseed.timer import SimulatedClock
 
 SEED_BYTES = 32 * 101  # default stretch 100 -> 101 digests
@@ -677,6 +681,117 @@ def test_mk0_streams_in_constant_memory():
     large = _peak_rss_kb("mk0", "--count", "400000")
     small = _peak_rss_kb("mk0", "--count", "10")
     assert large - small <= 4 * 1024
+
+
+# As PEAK_RSS_SCRIPT, but the reader reads nothing for a second, then all of
+# it; it prints the digest of what it read and the command's peak RSS.
+STALLED_READER_SCRIPT = """
+import hashlib, os, subprocess, sys, time
+proc = subprocess.Popen(
+    [sys.executable, "-m", "jitterseed", *sys.argv[1:]], stdout=subprocess.PIPE
+)
+time.sleep(1)
+digest = hashlib.sha256(proc.stdout.read()).hexdigest()
+proc.stdout.close()
+_, status, usage = os.wait4(proc.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(digest, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_mk0_backlog_for_a_stalled_reader_is_bounded():
+    # A second is long enough to hash all 12.8 MB, so only the bound on the
+    # backlog keeps the stream from being held whole.
+    proc = subprocess.run(
+        [sys.executable, "-c", STALLED_READER_SCRIPT, "mk0", "--count", "400000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest, peak = proc.stdout.split()
+    assert digest == hashlib.sha256(mk0_stream(400000)).hexdigest()
+    backlog_kb = cli.MK0_BACKLOG_CHUNKS * MK0_CHUNK_DIGESTS * 32 // 1024
+    assert int(peak) - _peak_rss_kb("mk0", "--count", "10") <= backlog_kb + 4 * 1024
+
+
+def _hand_over_then_fail(chunks, intervals=None):
+    """An mk0_stream that hands over `chunks` zero-filled chunks and then fails,
+    appending the switch interval it ran under to intervals."""
+
+    def fake_mk0_stream(count, write):
+        if intervals is not None:
+            intervals.append(sys.getswitchinterval())
+        for _ in range(chunks):
+            write(bytes(MK0_CHUNK_DIGESTS * 32))
+        raise OSError(5, "Input/output error")
+
+    return fake_mk0_stream
+
+
+def test_mk0_failing_producer_stops_its_writer(tmp_path, monkeypatch, capsys):
+    during = []
+    monkeypatch.setattr(cli, "mk0_stream", _hand_over_then_fail(3, during))
+    threads = threading.active_count()
+    before = sys.getswitchinterval()
+    assert run_cli(["mk0", "--out", str(tmp_path / "mk0.bin")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 5] Input/output error"]
+    assert os.listdir(tmp_path) == []
+    assert threading.active_count() == threads
+    assert sys.getswitchinterval() == before != during[0]
+
+
+def test_mk0_failure_drops_the_backlog_of_a_stalled_writer(tmp_path, monkeypatch, capsys):
+    # The writer is stuck on its first chunk and the backlog is full when the
+    # producer fails: ending the run must neither wait for room in the queue
+    # nor write what is queued.
+    release = threading.Event()
+    written = []
+
+    def stalled_write_all(sink, payload):
+        release.wait(timeout=30)
+        written.append(len(payload))
+
+    monkeypatch.setattr(cli, "_write_all", stalled_write_all)
+    monkeypatch.setattr(cli, "mk0_stream", _hand_over_then_fail(cli.MK0_BACKLOG_CHUNKS + 1))
+    timer = threading.Timer(0.5, release.set)
+    timer.start()
+    try:
+        assert run_cli(["mk0", "--out", str(tmp_path / "mk0.bin")]) == 1
+    finally:
+        release.set()
+        timer.join(timeout=30)
+    assert not timer.is_alive()
+    assert written == [MK0_CHUNK_DIGESTS * 32]
+    assert "Input/output error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="SIGINT")
+def test_mk0_interrupt_does_not_wait_for_a_stalled_reader():
+    # Nothing reads the pipe, so the writer is stuck in a write when the
+    # interrupt comes; the run ends by the interrupt all the same. Its stdout
+    # is buffered, as outside a test, so a writer stuck holding the buffer's
+    # lock would also make the interpreter abort at exit.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jitterseed", "mk0", "--count", "2000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    time.sleep(1)
+    proc.send_signal(signal.SIGINT)
+    try:
+        proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.returncode == -signal.SIGINT, stderr
 
 
 def _limit_address_space():

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import os
 import random
 import re
@@ -26,6 +27,7 @@ from golden_blocks import (
 from jitterseed.conditioner import mk0_stream
 from jitterseed.errors import ShortStreamError
 from jitterseed.fips import (
+    BATTERY_TESTS,
     BLOCK_CSV_HEADER,
     CHUNK_BLOCKS,
     FipsBlockResult,
@@ -368,6 +370,21 @@ def test_block_csv_row_format():
     result = fips_block_tests(b"\x55" * 2500, block_index=7)
     assert BLOCK_CSV_HEADER == "block,monobit,poker,runs,longrun,pass"
     assert block_csv_row(result) == "7,1,0,0,1,0"
+
+
+@pytest.mark.parametrize("continuous", [None, True, False])
+@pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=4)))
+def test_row_and_pass_read_the_same_flags_as_verdicts(flags, continuous):
+    base = fips_block_tests(mk0_stream(79)[:2500], block_index=3)
+    result = dataclasses.replace(
+        base,
+        **{f"{name}_pass": flag for name, flag in zip(BATTERY_TESTS, flags)},
+        continuous_pass=continuous,
+    )
+    verdicts = result.verdicts
+    assert result.passed is all(verdicts.values())
+    expected = [verdicts[name] for name in BATTERY_TESTS] + [all(verdicts.values())]
+    assert block_csv_row(result) == "3," + ",".join(str(int(flag)) for flag in expected)
 
 
 def test_battery_agrees_with_independent_reference_on_random_blocks():
