@@ -8,7 +8,6 @@ distinct-value floor, no seed bytes exist at all.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from collections.abc import Sequence
@@ -19,7 +18,10 @@ from .errors import InsufficientEntropyError
 
 DEFAULT_QUALITY_FLOOR = 20
 
-DIGEST_BYTES = hashlib.sha256().digest_size
+# SHA-256's digest size. hashlib is imported only where digests are made: it
+# maps OpenSSL's libcrypto (about 3.5 MB of resident set), which a process that
+# only runs the battery never needs.
+DIGEST_BYTES = 32
 
 # mk0_stream hands its output on in chunks of this many digests (64 KiB).
 MK0_CHUNK_DIGESTS = 2048
@@ -80,10 +82,16 @@ def serialize_trace(trace: TimingTrace) -> bytes:
     samples = trace.samples
     if not samples:
         raise ValueError("cannot serialize a trace with no samples")
-    return b"".join(delta.to_bytes(8, "big") for delta in samples)
+    try:
+        return b"".join(delta.to_bytes(8, "big") for delta in samples)
+    except OverflowError:
+        bad = next(delta for delta in samples if not 0 <= delta < 2**64)
+        raise ValueError(f"trace delta {bad} does not fit in 8 unsigned bytes") from None
 
 
 def _fingerprint(trace: TimingTrace) -> str:
+    import hashlib
+
     provenance = {"config": asdict(trace.config), "timer": asdict(trace.timer)}
     canonical = json.dumps(provenance, sort_keys=True).encode()
     return hashlib.sha256(canonical).hexdigest()
@@ -108,6 +116,8 @@ def condition(
             f"trace has {observed} distinct delta values, floor is {quality_floor}"
         )
 
+    from hashlib import sha256
+
     serialized = serialize_trace(trace)
     # Each link goes straight into one buffer; getvalue() hands that buffer
     # over without a copy. The buffer gets its final size before the first
@@ -118,10 +128,10 @@ def condition(
     material.seek(DIGEST_BYTES * (trace.config.stretch + 1) - 1)
     material.write(b"\0")
     material.seek(0)
-    digest = hashlib.sha256(serialized).digest()
+    digest = sha256(serialized).digest()
     material.write(digest)
     for _ in range(trace.config.stretch):
-        digest = hashlib.sha256(digest + serialized).digest()
+        digest = sha256(digest + serialized).digest()
         material.write(digest)
 
     return SeedOutput(material=material.getvalue(), source_fingerprint=_fingerprint(trace))
@@ -146,6 +156,8 @@ def mk0_stream(count: int, write=None) -> bytes | None:
         stream = io.BytesIO()
         mk0_stream(count, stream.write)
         return stream.getvalue()
+    import hashlib
+
     h = hashlib.sha256(b"0")
     for start in range(1, count + 1, MK0_CHUNK_DIGESTS):
         digests = []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import make_trace
 from jitterseed.conditioner import (
     DEFAULT_QUALITY_FLOOR,
+    DIGEST_BYTES,
     MK0_CHUNK_DIGESTS,
     condition,
     mk0_stream,
@@ -39,6 +40,16 @@ def test_serialize_is_big_endian_u64_in_order():
 def test_serialize_empty_trace_rejected():
     with pytest.raises(ValueError, match="^cannot serialize a trace with no samples$"):
         serialize_trace(make_trace([]))
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_serialize_names_a_delta_outside_eight_unsigned_bytes(bad):
+    with pytest.raises(ValueError, match=f"^trace delta {bad} does not fit"):
+        serialize_trace(make_trace([7, bad, 8]))
+
+
+def test_digest_bytes_is_the_sha256_digest_size():
+    assert DIGEST_BYTES == hashlib.sha256().digest_size
 
 
 @settings(max_examples=1000, deadline=None)

@@ -33,6 +33,8 @@ BAD_CALLS = {
     "condition(quality_floor=-1)": lambda: condition(
         make_trace(range(1, 101)), quality_floor=-1
     ),
+    "condition(delta=-1)": lambda: condition(make_trace([-1, *range(1, 30)])),
+    "condition(delta=2**64)": lambda: condition(make_trace([2**64, *range(1, 30)])),
     "mk0_stream(0)": lambda: mk0_stream(0),
     "tune(floor=1)": lambda: tune(CollectorConfig(), floor=1),
     "tune(budget_ns=0)": lambda: tune(CollectorConfig(), budget_ns=0),
