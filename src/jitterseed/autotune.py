@@ -13,11 +13,18 @@ import enum
 import time
 from dataclasses import dataclass, replace
 
-from .collector import VAL1, VAL2, CollectorConfig, collect_trace, distinct_count, kernel
+from .collector import (
+    DEFAULT_BUDGET_NS,
+    VAL1,
+    VAL2,
+    CollectorConfig,
+    collect_trace,
+    distinct_count,
+    kernel,
+)
 from .conditioner import DEFAULT_QUALITY_FLOOR
 from .timer import TimerSpec, default_clock, probe_resolution
 
-DEFAULT_BUDGET_NS = 5_000_000_000
 PROBE_RUNS_PER_SCALE = 3
 
 

@@ -23,6 +23,10 @@ VAL2 = 576722363
 # Collection is timing-sensitive; serialize it within the process.
 _collection_lock = threading.Lock()
 
+# Time allowed for tuning the scale (autotune.tune). It lives here, with the
+# config it tunes, so that the CLI's parser reads it without loading the tuner.
+DEFAULT_BUDGET_NS = 5_000_000_000
+
 
 @dataclass(frozen=True)
 class CollectorConfig:

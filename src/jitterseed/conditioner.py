@@ -42,10 +42,14 @@ class DigestChain(Sequence):
     def __len__(self) -> int:
         return len(self._material) // DIGEST_BYTES
 
-    def __getitem__(self, index: int) -> bytes:
-        # The range resolves negative indices and raises IndexError past the end.
-        start = range(0, len(self._material), DIGEST_BYTES)[index]
-        return self._material[start : start + DIGEST_BYTES]
+    def __getitem__(self, index):
+        """The digest at an int index, or a list of the digests in a slice."""
+        # The range resolves negative indices and raises IndexError past the
+        # end; sliced, it gives the starts of the digests in the slice.
+        starts = range(0, len(self._material), DIGEST_BYTES)[index]
+        if isinstance(index, slice):
+            return [self._material[start : start + DIGEST_BYTES] for start in starts]
+        return self._material[starts : starts + DIGEST_BYTES]
 
 
 @dataclass(frozen=True)

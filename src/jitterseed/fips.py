@@ -326,7 +326,7 @@ def fips_pass_rate(
     continuous_check: bool = False,
     block_sink=None,
 ) -> FipsRateReport:
-    """Test consecutive blocks from bytes or a binary stream.
+    """Test consecutive blocks from a bytes-like object or a binary stream.
 
     With `blocks` given, exactly that many are required; running dry early
     raises ShortStreamError with the partial report attached. With blocks=None
@@ -338,7 +338,9 @@ def fips_pass_rate(
     """
     if blocks is not None and blocks < 1:
         raise ValueError(f"blocks must be >= 1, got {blocks}")
-    stream = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
+    # Anything without a read method is taken as a buffer: bytes, bytearray,
+    # memoryview, array.
+    stream = source if hasattr(source, "read") else io.BytesIO(source)
 
     failures = dict.fromkeys(BATTERY_TESTS, 0)
     if continuous_check:

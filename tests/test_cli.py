@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -559,15 +560,18 @@ def test_parsed_defaults_come_from_the_library():
 
 # What each command must leave unloaded: only the battery needs numpy, and
 # the battery makes no digest, so it never maps OpenSSL's libcrypto.
+# The tuner and the analysis tools (with csv) load only in the commands that use them.
+UNUSED_TOOLS = {"jitterseed.analysis", "jitterseed.autotune", "csv"}
+
 COMMAND_MODULES_NOT_LOADED = {
-    "seed": (["seed", "--out", "{tmp}/seed.bin"], {"numpy"}),
+    "seed": (["seed", "--out", "{tmp}/seed.bin"], {"numpy", *UNUSED_TOOLS}),
     "probe": (["probe"], {"numpy"}),
     "tune": (["tune", "--budget-ms", "200"], {"numpy"}),
-    "mk0": (["mk0", "--count", "10", "--out", "{tmp}/mk0.bin"], {"numpy"}),
+    "mk0": (["mk0", "--count", "10", "--out", "{tmp}/mk0.bin"], {"numpy", *UNUSED_TOOLS}),
     "analyze": (["analyze", "--runs", "1"], {"numpy"}),
     "fips": (
         ["fips", "{tmp}/in.bin", "--continuous", "--per-block", "{tmp}/blocks.csv"],
-        {"_hashlib", "hashlib"},
+        {"_hashlib", "hashlib", *UNUSED_TOOLS},
     ),
 }
 
@@ -606,6 +610,33 @@ def test_commands_leave_modules_they_do_not_need_unloaded(tmp_path, argv, module
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_console_entry_point_freezes_the_collector_before_exit():
+    # Shutdown's collections then skip every object left, which all live
+    # until the process ends anyway.
+    script = textwrap.dedent(
+        """
+        import atexit, gc, sys
+        from jitterseed import cli
+        atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+        sys.argv = ["jitterseed", "probe"]
+        cli.main()
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+
+
+def test_run_cli_leaves_the_collector_as_it_was(capsys):
+    # run_cli runs inside processes that go on, such as this one.
+    before = gc.get_freeze_count()
+    assert run_cli(["probe"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
 
 
 def test_every_exported_name_resolves():

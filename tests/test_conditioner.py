@@ -210,6 +210,18 @@ def test_digests_view_indexes_the_material():
         digests[4]
 
 
+@pytest.mark.parametrize(
+    "part",
+    [slice(1, 3), slice(None), slice(-2, None), slice(None, -1), slice(None, None, 2),
+     slice(None, None, -1), slice(4, 0, -3), slice(3, 1), slice(5, 9)],
+    ids=repr,
+)
+def test_digests_view_slices_like_a_list_of_the_material_digests(part):
+    seed = condition(make_trace(range(1, 101), stretch=4))
+    material = seed.material
+    assert seed.digests[part] == [material[i : i + 32] for i in range(0, len(material), 32)][part]
+
+
 def test_condition_holds_one_copy_of_the_material():
     trace = make_trace(range(1, 101), stretch=100_000)
     tracemalloc.start()

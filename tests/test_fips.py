@@ -217,6 +217,13 @@ def test_bytes_and_stream_sources_agree():
     assert from_bytes == from_stream
 
 
+def test_memoryview_source_reports_as_its_bytes():
+    data = mk0_stream(3200)  # 40 complete blocks, in three chunks
+    assert fips_pass_rate(memoryview(data), continuous_check=True) == fips_pass_rate(
+        data, continuous_check=True
+    )
+
+
 class TrickleStream(io.RawIOBase):
     """A raw stream that returns at most `most` bytes per read, as a pipe or
     terminal can long before EOF."""
