@@ -87,6 +87,15 @@ def _tuned_config(args, result) -> CollectorConfig:
     return result.config
 
 
+def _std_stream(name: str):
+    """sys.stdin or sys.stdout. A process started with that stream closed has
+    None there, which is an operational failure, not a traceback."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _write_all(sink, payload: bytes) -> None:
     """Write every byte of payload to sink and flush it.
 
@@ -108,9 +117,12 @@ def _output(path):
     renamed over path, so path holds either its old content or all of the
     output, and no other user can read it. On any exception the temporary
     file is removed. An existing path that is not a regular file is refused.
+    Where the platform can open a directory, the directory is fsynced after
+    the rename, so that a crash cannot bring the old file back; if that
+    fsync fails, the new file stays in place and the error propagates.
     """
     if path is None:
-        yield sys.stdout.buffer
+        yield _std_stream("stdout").buffer
         return
     # A rename would put a file in place of a FIFO or device; a symlink to a
     # regular file is itself replaced.
@@ -129,6 +141,12 @@ def _output(path):
         with contextlib.suppress(OSError):
             os.unlink(temp)
         raise
+    if hasattr(os, "O_DIRECTORY"):
+        dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 def cmd_seed(args) -> int:
@@ -160,9 +178,10 @@ def cmd_seed(args) -> int:
 def cmd_tune(args) -> int:
     from .analysis import write_json_report
 
+    stdout = _std_stream("stdout")
     result = _tune(args, CollectorConfig(), default_clock())
     # The report is written whatever the verdict, then an unattainable one fails.
-    write_json_report(asdict(result), sys.stdout)
+    write_json_report(asdict(result), stdout)
     _tuned_config(args, result)
     return 0
 
@@ -177,6 +196,8 @@ def cmd_analyze(args) -> int:
         return 2
     from . import analysis
 
+    # Checked first, so that no file is written for a report that cannot be.
+    stdout = _std_stream("stdout")
     clock = default_clock()
     timer_spec = probe_resolution(clock)
     config = CollectorConfig()
@@ -199,7 +220,7 @@ def cmd_analyze(args) -> int:
                 _write_all(stack.enter_context(_output(path)), text.getvalue().encode())
 
     document = analysis.report_document(timer_spec, config, report)
-    analysis.write_json_report(document, sys.stdout)
+    analysis.write_json_report(document, stdout)
     return 0
 
 
@@ -210,9 +231,12 @@ def cmd_fips(args) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import fips
 
+    # Checked first, so that the CSV replaces nothing when the summary has
+    # nowhere to go.
+    stdout = _std_stream("stdout")
     with contextlib.ExitStack() as stack:
         if args.source == "-":
-            stream = sys.stdin.buffer
+            stream = _std_stream("stdin").buffer
         else:
             stream = stack.enter_context(open(args.source, "rb"))
         sink = None
@@ -232,10 +256,10 @@ def cmd_fips(args) -> int:
             # Leaving the block by an exception keeps the CSV from replacing
             # its target; the partial tally is still reported.
             if exc.partial is not None:
-                print(fips.summary_line(exc.partial))
+                print(fips.summary_line(exc.partial), file=stdout)
             raise
 
-    print(fips.summary_line(report))
+    print(fips.summary_line(report), file=stdout)
     return 0
 
 
@@ -304,8 +328,9 @@ def cmd_mk0(args) -> int:
 def cmd_probe(args) -> int:
     from .analysis import write_json_report
 
+    stdout = _std_stream("stdout")
     timer_spec = probe_resolution(default_clock())
-    write_json_report(asdict(timer_spec), sys.stdout)
+    write_json_report(asdict(timer_spec), stdout)
     return 0
 
 
@@ -339,9 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_floor_budget(seed)
     seed.add_argument("--out", type=_path, help="write seed bytes to this file")
     seed.add_argument("--hex", action="store_true", help="emit lowercase hex text")
-    # Quantizes the real clock. Kept only for the benchmark's FailClosedOnce
-    # (perfbench/test_bench.py), which runs seed processes; tests inject
-    # cli.default_clock instead.
+    # Quantizes the real clock. Its users: the benchmark's FailClosedOnce
+    # (perfbench/test_bench.py), acceptance criteria 7 and 8, and the
+    # subprocess cases of test_bad_input_exits_cleanly. Every other test
+    # injects cli.default_clock.
     seed.add_argument("--simulate-quantum-ns", type=_int_at_least(1), help=argparse.SUPPRESS)
     seed.set_defaults(func=cmd_seed)
 

@@ -46,7 +46,7 @@ class PerfCounterClock:
         return time.perf_counter_ns()
 
 
-class SimulatedClock:
+class SimulatedClock(PerfCounterClock):
     """A real clock quantized to a fixed tick, for reproducing coarse timers.
 
     Every reading is floored to a multiple of ``quantum_ns``, so consecutive
@@ -58,12 +58,10 @@ class SimulatedClock:
         if quantum_ns < 1:
             raise ValueError("quantum_ns must be >= 1")
         self.quantum_ns = quantum_ns
-        self._base = PerfCounterClock()
         self.name = f"simulated-{quantum_ns}ns"
-        self.monotonic = self._base.monotonic
 
     def now_ticks(self) -> int:
-        return (self._base.now_ticks() // self.quantum_ns) * self.quantum_ns
+        return (super().now_ticks() // self.quantum_ns) * self.quantum_ns
 
 
 def default_clock() -> PerfCounterClock:

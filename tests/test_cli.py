@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import signal
 import stat
 import subprocess
@@ -87,9 +88,10 @@ def test_seed_replaces_readable_target_privately(tmp_path):
     assert os.listdir(tmp_path) == ["seed.bin"]
 
 
-def test_failed_seed_leaves_directory_empty(tmp_path, capsys):
+def test_failed_seed_leaves_directory_empty(tmp_path, monkeypatch, capsys):
+    use_quantized_clock(monkeypatch, 16_000_000)
     out = tmp_path / "seed.bin"
-    assert run_cli(["seed", "--simulate-quantum-ns", "16000000", "--out", str(out)]) == 1
+    assert run_cli(["seed", "--out", str(out)]) == 1
     assert os.listdir(tmp_path) == []
     capsys.readouterr()
 
@@ -104,6 +106,46 @@ def test_write_error_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert run_cli(["seed", "--out", str(out)]) == 1
     assert os.listdir(tmp_path) == []
     assert "No space left on device" in capsys.readouterr().err
+
+
+def _identity(st) -> tuple:
+    return st.st_dev, st.st_ino
+
+
+@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="needs directory descriptors")
+def test_out_fsyncs_the_file_and_then_its_directory(tmp_path, monkeypatch, capsys):
+    # Without the directory's fsync, a crash can lose the rename and bring
+    # the old seed file back.
+    fsync = os.fsync
+    synced = []
+
+    def record(fd):
+        synced.append(_identity(os.fstat(fd)))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    out = tmp_path / "seed.bin"
+    assert run_cli(["seed", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert synced == [_identity(out.stat()), _identity(tmp_path.stat())]
+
+
+@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="needs directory descriptors")
+def test_failed_directory_fsync_exits_one_and_keeps_the_new_file(tmp_path, monkeypatch, capsys):
+    # The rename cannot be undone, so the complete new file stays.
+    fsync = os.fsync
+
+    def fail_on_a_directory(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(5, "Input/output error")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fail_on_a_directory)
+    out = tmp_path / "seed.bin"
+    assert run_cli(["seed", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 5] Input/output error"]
+    assert out.stat().st_size == SEED_BYTES
+    assert os.listdir(tmp_path) == ["seed.bin"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
@@ -145,12 +187,10 @@ def test_seed_stretch_changes_size(tmp_path):
     assert out.stat().st_size == 32 * 4
 
 
-def test_seed_fails_closed_on_coarse_clock(tmp_path, capsys):
+def test_seed_fails_closed_on_coarse_clock(tmp_path, monkeypatch, capsys):
+    use_quantized_clock(monkeypatch, 16_000_000)
     out = tmp_path / "seed.bin"
-    code = run_cli(
-        ["seed", "--simulate-quantum-ns", "16000000", "--out", str(out)]
-    )
-    assert code == 1
+    assert run_cli(["seed", "--out", str(out)]) == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
 
@@ -163,21 +203,10 @@ def test_seed_unreachable_floor_fails_closed(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_seed_tune_unattainable_fails_closed(tmp_path, capsys):
+def test_seed_tune_unattainable_fails_closed(tmp_path, monkeypatch, capsys):
+    use_quantized_clock(monkeypatch, 16_000_000)
     out = tmp_path / "seed.bin"
-    code = run_cli(
-        [
-            "seed",
-            "--tune",
-            "--budget-ms",
-            "200",
-            "--simulate-quantum-ns",
-            "16000000",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 1
+    assert run_cli(["seed", "--tune", "--budget-ms", "200", "--out", str(out)]) == 1
     assert not out.exists()
     assert "unattainable" in capsys.readouterr().err
 
@@ -488,11 +517,28 @@ def test_probe_simulated_quantum(monkeypatch, capsys):
     assert 1_000_000 <= payload["resolution_ns"] <= 2_000_000
 
 
-def test_pipeline_mk0_into_fips():
-    # 10000 digests are exactly 128 blocks.
+@pytest.mark.parametrize(
+    "count, fips_args, summary, csv_sha256",
+    [
+        # 10000 digests are exactly 128 blocks.
+        (10000, "--blocks 128", "blocks=128 ", None),
+        # The battery's golden verdicts on the reference stream, read through
+        # a real pipe from mk0's writer thread: the summary and the SHA-256 of
+        # the per-block CSV.
+        (
+            400000,
+            "--continuous --per-block {csv}",
+            "blocks=5120 passed=5116 ",
+            "bd2b6db5d05f4427ccc8fadc37fab5254ed4264b301dad58619fa5cd6871c4f5",
+        ),
+    ],
+    ids=["blocks128", "golden"],
+)
+def test_pipeline_mk0_into_fips(tmp_path, count, fips_args, summary, csv_sha256):
+    csv_path = tmp_path / "blocks.csv"
     pipeline = (
-        f"{sys.executable} -m jitterseed mk0 --count 10000 | "
-        f"{sys.executable} -m jitterseed fips --blocks 128 -"
+        f"{sys.executable} -m jitterseed mk0 --count {count} | "
+        f"{sys.executable} -m jitterseed fips - {fips_args.format(csv=csv_path)}"
     )
     proc = subprocess.run(
         ["sh", "-c", pipeline], capture_output=True, text=True, timeout=120
@@ -500,7 +546,10 @@ def test_pipeline_mk0_into_fips():
     assert proc.returncode == 0, proc.stderr
     match = SUMMARY_RE.match(proc.stdout.strip())
     assert match
+    assert proc.stdout.startswith(summary)
     assert float(match.group(3)) >= 0.992
+    if csv_sha256 is not None:
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
 
 
 @pytest.mark.parametrize(
@@ -548,6 +597,42 @@ def test_bad_input_exits_cleanly(tmp_path, argv, code):
     assert b"error:" in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert not out.exists() and not missing.exists()
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="sh redirections")
+@pytest.mark.parametrize(
+    "argv, closed, code",
+    [
+        (["fips", "-"], "stdin", 1),
+        (["fips", "{data}"], "stdout", 1),
+        (["fips", "{data}", "--per-block", "{kept}"], "stdout", 1),
+        (["seed"], "stdout", 1),
+        (["mk0", "--count", "10"], "stdout", 1),
+        (["probe"], "stdout", 1),
+        (["tune", "--budget-ms", "200"], "stdout", 1),
+        (["analyze", "--runs", "1", "--log", "{kept}"], "stdout", 1),
+        (["seed", "--out", "{kept}"], "stdout", 0),
+        (["mk0", "--count", "10", "--out", "{kept}"], "stdout", 0),
+    ],
+)
+def test_closed_standard_stream_fails_with_one_line(tmp_path, argv, closed, code):
+    # A process started with a standard stream closed has None for it in sys.
+    data, kept = tmp_path / "in.bin", tmp_path / "kept"
+    data.write_bytes(mk0_stream(400))
+    kept.write_bytes(b"old")
+    argv = [sys.executable, "-m", "jitterseed", *(a.format(data=data, kept=kept) for a in argv)]
+    redirect = {"stdin": "<&-", "stdout": ">&-"}[closed]
+    proc = subprocess.run(
+        ["sh", "-c", f"{shlex.join(argv)} {redirect}"], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.splitlines() == [f"error: {closed} is closed"]
+        assert kept.read_bytes() == b"old"
+    else:
+        assert "Traceback" not in proc.stderr
+        assert kept.read_bytes() != b"old"
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "kept"]
 
 
 def test_parsed_defaults_come_from_the_library():
