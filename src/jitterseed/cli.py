@@ -25,8 +25,9 @@ from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
 from .errors import InsufficientEntropyError, SeederError, ShortStreamError
 from .timer import SimulatedClock, default_clock, probe_resolution
 
-# Chunks of mk0 output (64 KiB each, so 8 MiB) that may wait for a slow reader.
-MK0_BACKLOG_CHUNKS = 128
+# The capacity mk0 gives a pipe it writes to. At the default 64 KiB, mk0 and
+# a slower reader such as fips take turns instead of running side by side.
+MK0_PIPE_BYTES = 1 << 20
 
 
 def _int_at_least(minimum: int):
@@ -96,6 +97,18 @@ def _std_stream(name: str):
     return stream
 
 
+def _note(message: str) -> None:
+    """Print message to stderr, where every summary and diagnostic goes.
+
+    A process started with stderr closed has None there, and print would then
+    write to stdout, which may hold the seed; a stderr that cannot be written
+    loses the message but changes neither stdout nor the exit code.
+    """
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr)
+
+
 def _write_all(sink, payload: bytes) -> None:
     """Write every byte of payload to sink and flush it.
 
@@ -130,7 +143,9 @@ def _output(path):
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise OSError(f"refusing to replace {path}: not a regular file")
     directory, name = os.path.split(os.path.abspath(path))
-    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    # At most 32 characters of the name (128 bytes of UTF-8) keep the
+    # temporary name within 255 bytes whatever the target's length.
+    temp = os.path.join(directory, f".{name[:32]}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with open(fd, "wb") as sink:
@@ -166,11 +181,10 @@ def cmd_seed(args) -> int:
         _write_all(sink, payload)
 
     note = f" after tuning to scale={config.scale}" if args.tune else ""
-    print(
+    _note(
         f"seed: {seed.total_bytes} bytes from {distinct_count(trace)} distinct "
         f"deltas (samples={config.samples} scale={config.scale} "
-        f"stretch={config.stretch}){note}",
-        file=sys.stderr,
+        f"stretch={config.stretch}){note}"
     )
     return 0
 
@@ -192,7 +206,7 @@ def cmd_analyze(args) -> int:
         and args.csv is not None
         and os.path.realpath(args.log) == os.path.realpath(args.csv)
     ):
-        print(f"error: --log and --csv name the same file: {args.csv}", file=sys.stderr)
+        _note(f"error: --log and --csv name the same file: {args.csv}")
         return 2
     from . import analysis
 
@@ -210,17 +224,17 @@ def cmd_analyze(args) -> int:
         (args.log, analysis.write_value_log, all_values),
         (args.csv, analysis.write_histogram_csv, report),
     )
-    # Written like --out. Both stay open until both are written, so a refused
-    # or failed file leaves both targets as they were.
+    # Written like --out. Both stay open until both are written and the
+    # report has left for stdout, so a refused or failed file, or a stdout
+    # that cannot take the report, leaves both targets as they were.
     with contextlib.ExitStack() as stack:
         for path, write, data in artifacts:
             if path is not None:
                 text = io.StringIO()
                 write(data, text)
                 _write_all(stack.enter_context(_output(path)), text.getvalue().encode())
-
-    document = analysis.report_document(timer_spec, config, report)
-    analysis.write_json_report(document, stdout)
+        analysis.write_json_report(analysis.report_document(timer_spec, config, report), stdout)
+        stdout.flush()
     return 0
 
 
@@ -258,70 +272,33 @@ def cmd_fips(args) -> int:
             if exc.partial is not None:
                 print(fips.summary_line(exc.partial), file=stdout)
             raise
-
-    print(fips.summary_line(report), file=stdout)
+        # Before the CSV replaces its target, so that a stdout that cannot
+        # take the summary leaves the target as it was.
+        print(fips.summary_line(report), file=stdout, flush=True)
     return 0
 
 
+def _grow_pipe(sink) -> None:
+    """Give the pipe that sink writes to at least MK0_PIPE_BYTES of capacity.
+
+    Anything but a pipe, a platform without F_SETPIPE_SZ (it is Linux's, in
+    Python 3.10 and later) and a user over the pipe quota leave sink as it is.
+    """
+    with contextlib.suppress(ImportError, AttributeError, OSError):
+        import fcntl
+
+        fd = sink.fileno()
+        if fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < MK0_PIPE_BYTES:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, MK0_PIPE_BYTES)
+
+
 def cmd_mk0(args) -> int:
-    # Hashing runs ahead of a reader that is slow to start (fips spends about
-    # 125 ms importing numpy) instead of blocking on a full pipe: a writer
-    # thread writes the chunks, and at most MK0_BACKLOG_CHUNKS wait for it.
-    # At the default 5 ms switch interval a writer back from a pipe write
-    # waits up to that long for the hashing thread to yield the interpreter
-    # lock, which made the pipeline slower than writing on one thread.
-    import queue
-    import threading
-
-    chunks = queue.Queue(maxsize=MK0_BACKLOG_CHUNKS)
-    failed = []
-
-    def write_chunks(fd: int) -> None:
-        # After a failure the rest is taken and dropped, so that a hand-off
-        # never waits on a writer that stopped.
-        with open(fd, "wb", buffering=0) as out:
-            while (chunk := chunks.get()) is not None:
-                if not failed:
-                    try:
-                        _write_all(out, chunk)
-                    except BaseException as exc:
-                        failed.append(exc)
-
-    def hand_over(chunk: bytes) -> None:
-        if failed:
-            raise failed[0]
-        chunks.put(chunk)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(5e-4)
-    try:
-        with _output(args.out) as sink:
-            # The writer has a descriptor of its own and no buffer, so it
-            # shares no lock with the sink and may outlive it: stuck on a
-            # stalled reader, it cannot hold up the interpreter's exit.
-            fd = os.dup(sink.fileno())
-            writer = threading.Thread(target=write_chunks, args=(fd,), daemon=True)
-            writer.start()
-            try:
-                mk0_stream(args.count, hand_over)
-                chunks.put(None)
-                writer.join()
-            except BaseException:
-                # Drop the backlog so that the end marker fits without waiting.
-                with contextlib.suppress(queue.Empty):
-                    while True:
-                        chunks.get_nowait()
-                chunks.put_nowait(None)
-                # A write to a regular file (all that --out accepts) ends, so
-                # the writer is waited for; a reader of stdout may never read
-                # again, and an interrupted run must not wait for it.
-                if args.out is not None:
-                    writer.join()
-                raise
-            if failed:
-                raise failed[0]
-    finally:
-        sys.setswitchinterval(interval)
+    # Each 64 KiB chunk is written as it is hashed, so a run holds one chunk
+    # at a time; the pipe holds what a reader slow to start (fips spends
+    # about 125 ms importing numpy) has not read yet.
+    with _output(args.out) as sink:
+        _grow_pipe(sink)
+        mk0_stream(args.count, lambda chunk: _write_all(sink, chunk))
     return 0
 
 
@@ -418,7 +395,7 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except SeederError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 1
     except BrokenPipeError:
         # Downstream stopped reading (mk0 | head, etc). Point stdout at
@@ -427,10 +404,10 @@ def run_cli(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 1
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _note("error: out of memory")
         return 1
 
 

@@ -173,6 +173,14 @@ def test_out_replaces_a_symlink_to_a_regular_file(tmp_path):
     assert target.read_bytes() == b"old"
 
 
+def test_out_takes_a_name_of_250_bytes(tmp_path, capsys):
+    out = tmp_path / ("a" * 250)
+    assert run_cli(["seed", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == [out.name]
+    assert out.stat().st_size == SEED_BYTES
+
+
 def test_seed_hex_output(tmp_path):
     out = tmp_path / "seed.hex"
     assert run_cli(["seed", "--hex", "--out", str(out)]) == 0
@@ -523,7 +531,7 @@ def test_probe_simulated_quantum(monkeypatch, capsys):
         # 10000 digests are exactly 128 blocks.
         (10000, "--blocks 128", "blocks=128 ", None),
         # The battery's golden verdicts on the reference stream, read through
-        # a real pipe from mk0's writer thread: the summary and the SHA-256 of
+        # a real pipe from mk0: the summary and the SHA-256 of
         # the per-block CSV.
         (
             400000,
@@ -635,6 +643,55 @@ def test_closed_standard_stream_fails_with_one_line(tmp_path, argv, closed, code
     assert sorted(os.listdir(tmp_path)) == ["in.bin", "kept"]
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="sh redirections")
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize(
+    "argv, code, stdout_bytes",
+    [
+        (["seed"], 0, SEED_BYTES),
+        (["seed", "--floor", "101"], 1, 0),
+        (["seed", "--out", "{kept}"], 0, 0),
+    ],
+    ids=["seed", "failed", "out"],
+)
+def test_unusable_stderr_changes_neither_stdout_nor_the_exit_code(
+    tmp_path, redirect, argv, code, stdout_bytes
+):
+    # With stderr closed, sys.stderr is None, and print(file=None) would
+    # write the summary or the error into stdout after the seed.
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"old")
+    argv = [a.format(kept=kept) for a in argv]
+    command = shlex.join([sys.executable, "-m", "jitterseed", *argv])
+    proc = subprocess.run(["sh", "-c", f"{command} {redirect}"], capture_output=True, timeout=60)
+    assert proc.returncode == code
+    assert len(proc.stdout) == stdout_bytes
+    assert (kept.read_bytes() == b"old") == ("--out" not in argv)
+    assert os.listdir(tmp_path) == ["kept"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fips", "{data}", "--per-block", "{kept}"], ["analyze", "--runs", "1", "--log", "{kept}"]],
+    ids=["fips", "analyze"],
+)
+def test_broken_stdout_leaves_the_files_as_they_were(tmp_path, argv):
+    # The pipe's reader is gone before the command starts.
+    data, kept = tmp_path / "in.bin", tmp_path / "kept"
+    data.write_bytes(mk0_stream(400))
+    kept.write_bytes(b"old")
+    argv = [sys.executable, "-m", "jitterseed", *(a.format(data=data, kept=kept) for a in argv)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert kept.read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "kept"]
+
+
 def test_parsed_defaults_come_from_the_library():
     parser = cli.build_parser()
     for command in ("seed", "tune"):
@@ -652,7 +709,7 @@ COMMAND_MODULES_NOT_LOADED = {
     "seed": (["seed", "--out", "{tmp}/seed.bin"], {"numpy", *UNUSED_TOOLS}),
     "probe": (["probe"], {"numpy"}),
     "tune": (["tune", "--budget-ms", "200"], {"numpy"}),
-    "mk0": (["mk0", "--count", "10", "--out", "{tmp}/mk0.bin"], {"numpy", *UNUSED_TOOLS}),
+    "mk0": (["mk0", "--count", "10", "--out", "{tmp}/mk0.bin"], {"numpy", "queue", *UNUSED_TOOLS}),
     "analyze": (["analyze", "--runs", "1"], {"numpy"}),
     "fips": (
         ["fips", "{tmp}/in.bin", "--continuous", "--per-block", "{tmp}/blocks.csv"],
@@ -771,6 +828,48 @@ def test_mk0_broken_pipe_exits_one():
     proc.stderr.close()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_GETPIPE_SZ")
+def test_mk0_grows_the_pipe_it_writes_to():
+    import fcntl
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jitterseed", "mk0", "--count", "10"], stdout=subprocess.PIPE
+    )
+    with proc.stdout:
+        assert proc.stdout.read() == mk0_stream(10)
+        assert proc.wait(timeout=60) == 0
+        assert fcntl.fcntl(proc.stdout.fileno(), fcntl.F_GETPIPE_SZ) >= cli.MK0_PIPE_BYTES
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_GETPIPE_SZ")
+@pytest.mark.parametrize("settable", [True, False], ids=["grown", "without-F_SETPIPE_SZ"])
+def test_mk0_writes_its_stream_into_a_pipe(monkeypatch, settable):
+    # 5000 digests are 160 KB, more than a default pipe holds, so mk0 waits
+    # for the reader whether or not the pipe could grow.
+    import fcntl
+
+    if not settable:
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
+    read_end, write_end = os.pipe()
+    default = fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ)
+    received = []
+    with open(read_end, "rb") as reader:
+        thread = threading.Thread(target=lambda: received.append(reader.read()))
+        thread.start()
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = run_cli(["mk0", "--count", "5000"])
+            capacity = fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ)
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert code == 0
+    assert received == [mk0_stream(5000)]
+    if settable:
+        assert capacity >= cli.MK0_PIPE_BYTES
+    else:
+        assert capacity == default
+
+
 def test_mk0_file_is_private_and_complete(tmp_path):
     out = tmp_path / "mk0.bin"
     assert run_cli(["mk0", "--count", "5000", "--out", str(out)]) == 0
@@ -846,8 +945,8 @@ print(digest, usage.ru_maxrss)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
 def test_mk0_backlog_for_a_stalled_reader_is_bounded():
-    # A second is long enough to hash all 12.8 MB, so only the bound on the
-    # backlog keeps the stream from being held whole.
+    # A second is long enough to hash all 12.8 MB, so only the pipe's
+    # capacity keeps the stream from being held whole.
     proc = subprocess.run(
         [sys.executable, "-c", STALLED_READER_SCRIPT, "mk0", "--count", "400000"],
         capture_output=True,
@@ -857,17 +956,14 @@ def test_mk0_backlog_for_a_stalled_reader_is_bounded():
     assert proc.returncode == 0, proc.stderr
     digest, peak = proc.stdout.split()
     assert digest == hashlib.sha256(mk0_stream(400000)).hexdigest()
-    backlog_kb = cli.MK0_BACKLOG_CHUNKS * MK0_CHUNK_DIGESTS * 32 // 1024
-    assert int(peak) - _peak_rss_kb("mk0", "--count", "10") <= backlog_kb + 4 * 1024
+    pipe_kb = cli.MK0_PIPE_BYTES // 1024
+    assert int(peak) - _peak_rss_kb("mk0", "--count", "10") <= pipe_kb + 4 * 1024
 
 
-def _hand_over_then_fail(chunks, intervals=None):
-    """An mk0_stream that hands over `chunks` zero-filled chunks and then fails,
-    appending the switch interval it ran under to intervals."""
+def _hand_over_then_fail(chunks):
+    """An mk0_stream that hands over `chunks` zero-filled chunks and then fails."""
 
     def fake_mk0_stream(count, write):
-        if intervals is not None:
-            intervals.append(sys.getswitchinterval())
         for _ in range(chunks):
             write(bytes(MK0_CHUNK_DIGESTS * 32))
         raise OSError(5, "Input/output error")
@@ -876,41 +972,12 @@ def _hand_over_then_fail(chunks, intervals=None):
 
 
 def test_mk0_failing_producer_stops_its_writer(tmp_path, monkeypatch, capsys):
-    during = []
-    monkeypatch.setattr(cli, "mk0_stream", _hand_over_then_fail(3, during))
+    monkeypatch.setattr(cli, "mk0_stream", _hand_over_then_fail(3))
     threads = threading.active_count()
-    before = sys.getswitchinterval()
     assert run_cli(["mk0", "--out", str(tmp_path / "mk0.bin")]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: [Errno 5] Input/output error"]
     assert os.listdir(tmp_path) == []
     assert threading.active_count() == threads
-    assert sys.getswitchinterval() == before != during[0]
-
-
-def test_mk0_failure_drops_the_backlog_of_a_stalled_writer(tmp_path, monkeypatch, capsys):
-    # The writer is stuck on its first chunk and the backlog is full when the
-    # producer fails: ending the run must neither wait for room in the queue
-    # nor write what is queued.
-    release = threading.Event()
-    written = []
-
-    def stalled_write_all(sink, payload):
-        release.wait(timeout=30)
-        written.append(len(payload))
-
-    monkeypatch.setattr(cli, "_write_all", stalled_write_all)
-    monkeypatch.setattr(cli, "mk0_stream", _hand_over_then_fail(cli.MK0_BACKLOG_CHUNKS + 1))
-    timer = threading.Timer(0.5, release.set)
-    timer.start()
-    try:
-        assert run_cli(["mk0", "--out", str(tmp_path / "mk0.bin")]) == 1
-    finally:
-        release.set()
-        timer.join(timeout=30)
-    assert not timer.is_alive()
-    assert written == [MK0_CHUNK_DIGESTS * 32]
-    assert "Input/output error" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGINT")
