@@ -60,7 +60,14 @@ def _ranked(histogram: dict[int, int]) -> list[tuple[int, int]]:
     return sorted(histogram.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _report_from_histogram(histogram: Counter, k: int, runs: int) -> DistributionReport:
+def _report_from_histogram(
+    histogram: Counter, k: int, runs: int, empty: str
+) -> DistributionReport:
+    """The report on histogram; `empty` is the message when it holds nothing."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not histogram:
+        raise ValueError(empty)
     ranked = _ranked(histogram)
     top_k = ranked[: min(k, len(ranked))]
     counts = [count for _, count in top_k]
@@ -76,16 +83,12 @@ def _report_from_histogram(histogram: Counter, k: int, runs: int) -> Distributio
 
 def aggregate_distribution(traces, k: int = DEFAULT_TOP_K) -> DistributionReport:
     """Merge traces into one exact-value histogram with top-k summary."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     histogram: Counter[int] = Counter()
     runs = 0
     for trace in traces:
         histogram.update(_samples_of(trace))
         runs += 1
-    if not histogram:
-        raise ValueError("need at least one non-empty trace")
-    return _report_from_histogram(histogram, k, runs)
+    return _report_from_histogram(histogram, k, runs, "need at least one non-empty trace")
 
 
 def merge_reports(reports, k: int = DEFAULT_TOP_K) -> DistributionReport:
@@ -94,16 +97,12 @@ def merge_reports(reports, k: int = DEFAULT_TOP_K) -> DistributionReport:
     Merging reports is equivalent to aggregating the union of their traces;
     sample counts are conserved exactly.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     merged: Counter[int] = Counter()
     runs = 0
     for report in reports:
         merged.update(report.histogram)
         runs += report.runs
-    if not merged:
-        raise ValueError("need at least one report to merge")
-    return _report_from_histogram(merged, k, runs)
+    return _report_from_histogram(merged, k, runs, "need at least one report to merge")
 
 
 def top_k_overlap(a: DistributionReport, b: DistributionReport, k: int = DEFAULT_TOP_K) -> int:

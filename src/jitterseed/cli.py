@@ -269,8 +269,7 @@ def cmd_fips(args) -> int:
         except ShortStreamError as exc:
             # Leaving the block by an exception keeps the CSV from replacing
             # its target; the partial tally is still reported.
-            if exc.partial is not None:
-                print(fips.summary_line(exc.partial), file=stdout)
+            print(fips.summary_line(exc.partial), file=stdout)
             raise
         # Before the CSV replaces its target, so that a stdout that cannot
         # take the summary leaves the target as it was.
@@ -394,19 +393,18 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SeederError as exc:
-        _note(f"error: {exc}")
-        return 1
     except BrokenPipeError:
         # Downstream stopped reading (mk0 | head, etc). Point stdout at
         # devnull so interpreter shutdown does not trip over it again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    except OSError as exc:
+    except (SeederError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # A size past the platform's word size is the same failure.
         _note("error: out of memory")
         return 1
 

@@ -31,6 +31,6 @@ class ShortStreamError(SeederError):
     Carries the partial tally in ``partial`` so callers can still report it.
     """
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial):
         super().__init__(message)
         self.partial = partial

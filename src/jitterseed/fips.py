@@ -363,11 +363,9 @@ def fips_pass_rate(
             if result.passed:
                 passed += 1
             else:
-                for name, ok in zip(BATTERY_TESTS, _BATTERY_FLAGS(result)):
+                for name, ok in result.verdicts.items():
                     if not ok:
                         failures[name] += 1
-                if result.continuous_pass is False:
-                    failures["continuous"] += 1
             if block_sink is not None:
                 block_sink(result)
         tested += count

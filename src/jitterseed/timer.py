@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import StuckClockError
 
-DEFAULT_PROBE_READS = 1000
+PROBE_READS = 1000
 
 # When back-to-back reads never disagree, wait this long (host wall clock)
 # for the probed clock to advance before declaring it stuck.
@@ -68,26 +68,24 @@ def default_clock() -> PerfCounterClock:
     return PerfCounterClock()
 
 
-def probe_resolution(clock=None, reads: int = DEFAULT_PROBE_READS) -> TimerSpec:
+def probe_resolution(clock=None) -> TimerSpec:
     """Measure the smallest positive step the clock will show.
 
-    Takes ``reads`` back-to-back read pairs and keeps the minimum positive
-    delta. A coarse clock may sit still for every pair; in that case the probe
-    waits (bounded by ``ADVANCE_TIMEOUT_S`` of host wall time) for up to three
-    advances and takes the smallest, so a 16 ms quantum reports ~16 ms instead
-    of masquerading as a dead clock. Only a clock that never moves at all
-    raises StuckClockError.
+    Takes ``PROBE_READS`` back-to-back read pairs and keeps the minimum
+    positive delta. A coarse clock may sit still for every pair; in that case
+    the probe waits (bounded by ``ADVANCE_TIMEOUT_S`` of host wall time) for up
+    to three advances and takes the smallest, so a 16 ms quantum reports
+    ~16 ms instead of masquerading as a dead clock. Only a clock that never
+    moves at all raises StuckClockError.
 
     Probing is timing-sensitive; run it single-threaded.
     """
-    if reads < 2:
-        raise ValueError("reads must be >= 2")
     if clock is None:
         clock = default_clock()
 
     best = None
     prev = clock.now_ticks()
-    for _ in range(reads):
+    for _ in range(PROBE_READS):
         cur = clock.now_ticks()
         delta = cur - prev
         if delta > 0 and (best is None or delta < best):
@@ -108,7 +106,7 @@ def probe_resolution(clock=None, reads: int = DEFAULT_PROBE_READS) -> TimerSpec:
                 seen += 1
         if best is None:
             raise StuckClockError(
-                f"{clock.name} never advanced across {reads} read pairs "
+                f"{clock.name} never advanced across {PROBE_READS} read pairs "
                 f"and {ADVANCE_TIMEOUT_S:.3f}s of waiting"
             )
 
@@ -116,5 +114,5 @@ def probe_resolution(clock=None, reads: int = DEFAULT_PROBE_READS) -> TimerSpec:
         name=clock.name,
         resolution_ns=best,
         monotonic=clock.monotonic,
-        probe_reads=reads,
+        probe_reads=PROBE_READS,
     )

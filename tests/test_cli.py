@@ -566,9 +566,10 @@ def test_pipeline_mk0_into_fips(tmp_path, count, fips_args, summary, csv_sha256)
         (["mk0", "--count", "0", "--out", "{out}"], 2),
         (["fips", "--blocks", "0", "-"], 2),
         (["fips", "{missing}"], 1),
+        # The one row for an option no command has.
         (["probe", "--reads", "1"], 2),
-        (["probe", "--simulate-quantum-ns", "0"], 2),
-        (["analyze", "--k", "0"], 2),
+        (["fips", "--blocks", "x", "-"], 2),
+        (["mk0", "--count", "-1", "--out", "{out}"], 2),
         (["seed", "--floor", "-1", "--out", "{out}"], 2),
         (["seed", "--tune", "--floor", "1", "--out", "{out}"], 2),
         (["seed", "--floor", "1", "--simulate-quantum-ns", "16000000", "--stretch", "0", "--hex"], 2),
@@ -580,17 +581,20 @@ def test_pipeline_mk0_into_fips(tmp_path, count, fips_args, summary, csv_sha256)
         (["mk0", "--count", "1", "--out", ""], 2),
         (["analyze", "--runs", "1", "--log", ""], 2),
         (["analyze", "--runs", "1", "--csv", ""], 2),
-        (["analyze", "--runs", "1", "--json", ""], 2),
+        (["tune", "--floor", "20.5"], 2),
         (["fips", "{missing}", "--per-block", ""], 2),
         (["seed", "--samples", "2", "--floor", "2", "--out", "{out}"], 2),
         (["seed", "--simulate-quantum-ns", "20000", "--floor", "2", "--stretch", "0", "--out", "{out}"], 2),
         (["tune", "--floor", "19"], 2),
         (["seed", "--samples", "0", "--out", "{out}"], 2),
         (["seed", "--stretch", "-1", "--out", "{out}"], 2),
-        (["tune", "--budget-ms", "200", "--simulate-quantum-ns", "16000000"], 2),
-        (["analyze", "--runs", "1", "--simulate-quantum-ns", "16000000"], 2),
-        (["probe", "--simulate-quantum-ns", "1000000"], 2),
+        (["seed", "--budget-ms", "0", "--out", "{out}"], 2),
+        (["probe", "extra"], 2),
+        (["analyze", "--runs", "1", "--log", "{out}", "--csv", "{out}"], 2),
         (["seed", "--scale", "0", "--out", "{out}"], 2),
+        # Sizes past the platform's word size fail as running out of memory.
+        (["seed", "--samples", "100000000000000000000", "--out", "{out}"], 1),
+        (["seed", "--stretch", "1000000000000000000000", "--out", "{out}"], 1),
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, code):
@@ -826,6 +830,34 @@ def test_mk0_broken_pipe_exits_one():
     proc.stdout.close()
     assert proc.wait(timeout=60) == 1
     proc.stderr.close()
+
+
+# Counts this process's open descriptors around a run_cli whose stdout is a
+# pipe with no reader. The broken-pipe branch replaces fd 1, so it runs in a
+# process of its own.
+BROKEN_PIPE_FD_SCRIPT = """
+import os, sys
+from jitterseed.cli import run_cli
+
+read_end, write_end = os.pipe()
+os.close(read_end)
+os.dup2(write_end, sys.stdout.fileno())
+os.close(write_end)
+before = len(os.listdir("/proc/self/fd"))
+code = run_cli(["mk0", "--count", "5000"])
+print(code, before, len(os.listdir("/proc/self/fd")), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_broken_pipe_leaves_no_descriptor_open():
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN_PIPE_FD_SCRIPT], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, before, after = proc.stderr.split()
+    assert code == "1"
+    assert after == before
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_GETPIPE_SZ")

@@ -17,12 +17,11 @@ from jitterseed.autotune import tune
 from jitterseed.collector import VAL1, VAL2, CollectorConfig, kernel
 from jitterseed.conditioner import condition, mk0_stream, serialize_trace
 from jitterseed.fips import fips_block_tests, fips_pass_rate
-from jitterseed.timer import SimulatedClock, probe_resolution
+from jitterseed.timer import SimulatedClock
 
 TWO_VALUES = aggregate_distribution([[1, 1, 2]])
 
 BAD_CALLS = {
-    "probe_resolution(reads=1)": lambda: probe_resolution(reads=1),
     "SimulatedClock(0)": lambda: SimulatedClock(0),
     "kernel(scale=0)": lambda: kernel(VAL1, VAL2, 0),
     "CollectorConfig(samples=0)": lambda: CollectorConfig(samples=0),
