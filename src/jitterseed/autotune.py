@@ -15,12 +15,10 @@ from dataclasses import dataclass, replace
 
 from .collector import (
     DEFAULT_BUDGET_NS,
-    VAL1,
-    VAL2,
     CollectorConfig,
     collect_trace,
     distinct_count,
-    kernel,
+    projected_ns,
 )
 from .conditioner import DEFAULT_QUALITY_FLOOR
 from .timer import TimerSpec, default_clock, probe_resolution
@@ -42,14 +40,6 @@ class TuneResult:
     elapsed_ns: int
     # A str enum, so JSON writes the verdict as its value.
     verdict: TuneVerdict
-
-
-def _projected_probe_ns(config: CollectorConfig) -> int:
-    """Estimate one probe triple's cost by timing a single kernel call."""
-    t0 = time.perf_counter_ns()
-    kernel(VAL1, VAL2, config.scale)
-    per_call = time.perf_counter_ns() - t0
-    return PROBE_RUNS_PER_SCALE * config.samples * per_call
 
 
 def tune(
@@ -84,7 +74,7 @@ def tune(
 
     while True:
         elapsed = time.perf_counter_ns() - started
-        if elapsed + _projected_probe_ns(candidate) > budget_ns:
+        if elapsed + PROBE_RUNS_PER_SCALE * projected_ns(candidate) > budget_ns:
             break
         distincts = sorted(
             distinct_count(collect_trace(candidate, clock, timer_spec))

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 operational failure (insufficient entropy, stuck
-clock, unattainable tuning, short stream, file I/O, out of memory), 2 usage
-error, including out-of-range option values. Seed bytes go to the chosen sink
-and nothing else ever shares it: when seeding to stdout, all summaries and
-diagnostics go to stderr.
+clock, unattainable tuning, a collection over budget, short stream, file I/O,
+out of memory), 2 usage error, including out-of-range option values. Seed
+bytes go to the chosen sink and nothing else ever shares it: when seeding to
+stdout, all summaries and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 # analysis and autotune are imported inside the commands that use them, so a
 # seed, mk0 or fips process never loads them.
-from .collector import DEFAULT_BUDGET_NS, CollectorConfig, collect_trace, distinct_count
+from .collector import DEFAULT_BUDGET_NS, CollectorConfig, collect_trace, distinct_count, projected_ns
 from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
 from .errors import InsufficientEntropyError, SeederError, ShortStreamError
 from .timer import SimulatedClock, default_clock, probe_resolution
@@ -65,7 +65,7 @@ def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
         "--budget-ms",
         type=_int_at_least(1),
         default=DEFAULT_BUDGET_NS // 1_000_000,
-        help="tuning time budget",
+        help="time budget for collecting, tuning included",
     )
 
 
@@ -172,6 +172,11 @@ def cmd_seed(args) -> int:
 
     if args.tune:
         config = _tuned_config(args, _tune(args, config, clock, timer_spec))
+    elif projected_ns(config) > args.budget_ms * 1_000_000:
+        raise InsufficientEntropyError(
+            f"collecting {config.samples} samples at scale={config.scale} "
+            f"would exceed {args.budget_ms} ms"
+        )
 
     trace = collect_trace(config, clock, timer_spec)
     seed = condition(trace, quality_floor=args.floor)

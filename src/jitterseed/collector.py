@@ -9,12 +9,11 @@ material, so nothing here may sort, dedup, or drop them, zeros included.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 
 from .errors import NonMonotonicTimerError
 from .timer import TimerSpec, default_clock, probe_resolution
-
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 # The kernel's two addends.
 VAL1 = 2585566630
@@ -23,8 +22,7 @@ VAL2 = 576722363
 # Collection is timing-sensitive; serialize it within the process.
 _collection_lock = threading.Lock()
 
-# Time allowed for tuning the scale (autotune.tune). It lives here, with the
-# config it tunes, so that the CLI's parser reads it without loading the tuner.
+# Time a collection may take, tuning included.
 DEFAULT_BUDGET_NS = 5_000_000_000
 
 
@@ -61,14 +59,13 @@ class TimingTrace:
     samples: tuple[int, ...]
     config: CollectorConfig
     timer: TimerSpec
-    kernel_checksum: int
 
 
 def kernel(val1: int, val2: int, scale: int) -> int:
     """Run the addition workload `scale` times; return the live result.
 
     The return value is data-dependent on the loop so the work cannot be
-    reasoned away as dead code. Callers fold it into a checksum.
+    reasoned away as dead code.
     """
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
@@ -100,10 +97,9 @@ def collect_trace(
         deltas = [0] * config.samples
         read = clock.now_ticks
         val1, val2, scale = VAL1, VAL2, config.scale
-        checksum = 0
         for i in range(config.samples):
             t0 = read()
-            a1 = kernel(val1, val2, scale)
+            kernel(val1, val2, scale)
             t1 = read()
             delta = t1 - t0
             if delta < 0:
@@ -111,14 +107,21 @@ def collect_trace(
                     f"{clock.name} stepped backwards by {-delta} ns"
                 )
             deltas[i] = delta
-            checksum = (checksum + a1) & _U64
 
-    return TimingTrace(
-        samples=tuple(deltas),
-        config=config,
-        timer=timer_spec,
-        kernel_checksum=checksum,
-    )
+    return TimingTrace(samples=tuple(deltas), config=config, timer=timer_spec)
+
+
+def projected_ns(config: CollectorConfig) -> int:
+    """Estimate collect_trace(config)'s time without running its scale: the
+    fastest of three kernel calls at the default scale (one preempted call
+    cannot inflate it), scaled up to samples × scale kernel iterations.
+    """
+    per_call = []
+    for _ in range(3):
+        t0 = time.perf_counter_ns()
+        kernel(VAL1, VAL2, CollectorConfig.scale)
+        per_call.append(time.perf_counter_ns() - t0)
+    return min(per_call) * config.samples * config.scale // CollectorConfig.scale
 
 
 def distinct_count(trace: TimingTrace) -> int:

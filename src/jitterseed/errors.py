@@ -18,8 +18,8 @@ class NonMonotonicTimerError(SeederError):
 
 
 class InsufficientEntropyError(SeederError):
-    """The trace's distinct-delta count is below the quality floor, or tuning
-    could not reach the floor within its budget.
+    """The trace's distinct-delta count is below the quality floor, or a
+    collection, or tuning until the floor is met, would exceed its time budget.
 
     Raised before any seed material is produced; nothing is written.
     """

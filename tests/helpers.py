@@ -70,7 +70,7 @@ def delta_script(deltas, gap: int = 7, start: int = 1000) -> list[int]:
 def make_trace(samples, stretch: int = 100, scale: int = 250, timer: TimerSpec = TEST_TIMER) -> TimingTrace:
     samples = tuple(samples)
     config = CollectorConfig(samples=max(len(samples), 1), scale=scale, stretch=stretch)
-    return TimingTrace(samples=samples, config=config, timer=timer, kernel_checksum=0)
+    return TimingTrace(samples=samples, config=config, timer=timer)
 
 
 def read_value_log(path) -> list[int]:

@@ -100,6 +100,17 @@ def test_tiny_budget_is_unattainable_without_probing():
     assert result.config == CollectorConfig()
 
 
+def test_scale_too_large_to_probe_is_unattainable_without_probing():
+    result = tune(
+        CollectorConfig(scale=10**20),
+        clock=ScriptedClock(delta_script([1, 2])),
+        timer_spec=TEST_TIMER,
+        budget_ns=DEFAULT_BUDGET_NS,
+    )
+    assert result.verdict is TuneVerdict.UNATTAINABLE
+    assert result.probe_runs == 0
+
+
 def test_coarse_simulated_clock_unattainable():
     base = CollectorConfig()
     verdicts = []

@@ -592,9 +592,14 @@ def test_pipeline_mk0_into_fips(tmp_path, count, fips_args, summary, csv_sha256)
         (["probe", "extra"], 2),
         (["analyze", "--runs", "1", "--log", "{out}", "--csv", "{out}"], 2),
         (["seed", "--scale", "0", "--out", "{out}"], 2),
-        # Sizes past the platform's word size fail as running out of memory.
+        # Sizes past the platform's word size fail as running out of memory,
+        # or, for --samples, as a collection over the time budget.
         (["seed", "--samples", "100000000000000000000", "--out", "{out}"], 1),
         (["seed", "--stretch", "1000000000000000000000", "--out", "{out}"], 1),
+        # Collections projected past --budget-ms fail before collecting.
+        (["seed", "--scale", "100000000000000000000", "--out", "{out}"], 1),
+        (["seed", "--tune", "--scale", "100000000000000000000", "--out", "{out}"], 1),
+        (["seed", "--samples", "100000000", "--out", "{out}"], 1),
     ],
 )
 def test_bad_input_exits_cleanly(tmp_path, argv, code):

@@ -13,6 +13,7 @@ from jitterseed.collector import (
     collect_trace,
     distinct_count,
     kernel,
+    projected_ns,
 )
 from jitterseed.errors import NonMonotonicTimerError
 from jitterseed.timer import SimulatedClock
@@ -53,9 +54,21 @@ def test_collect_trace_shape_and_provenance():
     assert all(isinstance(d, int) and d >= 0 for d in trace.samples)
     assert trace.config == config
     assert trace.timer.monotonic
-    # One addition result folded in per sample.
-    expected = (25 * (collector.VAL1 + collector.VAL2)) & 0xFFFFFFFFFFFFFFFF
-    assert trace.kernel_checksum == expected
+
+
+def test_projection_never_runs_the_kernel_past_the_default_scale(monkeypatch):
+    scales = []
+
+    def recording_kernel(val1, val2, scale):
+        scales.append(scale)
+        return kernel(val1, val2, scale)
+
+    monkeypatch.setattr(collector, "kernel", recording_kernel)
+    huge = projected_ns(CollectorConfig(scale=10**20))
+    assert scales and max(scales) <= CollectorConfig.scale
+    # The estimate grows with samples × scale.
+    assert projected_ns(CollectorConfig(samples=10)) < huge
+    assert projected_ns(CollectorConfig(samples=10**20, scale=10**20)) > huge
 
 
 def test_collect_trace_preserves_collection_order():

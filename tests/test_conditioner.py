@@ -248,7 +248,6 @@ trace = TimingTrace(
     samples=tuple(rng.randrange(40_000, 60_000) for _ in range(100)),
     config=CollectorConfig(stretch=390625),
     timer=TimerSpec(name="test", resolution_ns=1, monotonic=True, probe_reads=2),
-    kernel_checksum=0,
 )
 for _ in range(6):
     fips_pass_rate(condition(trace).to_bytes(), blocks=5000)
