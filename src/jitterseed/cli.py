@@ -181,13 +181,14 @@ def cmd_seed(args) -> int:
     trace = collect_trace(config, clock, timer_spec)
     seed = condition(trace, quality_floor=args.floor)
 
-    payload = seed.hex().encode() + b"\n" if args.hex else seed.to_bytes()
+    material = seed.to_bytes()
+    payload = material.hex().encode() + b"\n" if args.hex else material
     with _output(args.out) as sink:
         _write_all(sink, payload)
 
     note = f" after tuning to scale={config.scale}" if args.tune else ""
     _note(
-        f"seed: {seed.total_bytes} bytes from {distinct_count(trace)} distinct "
+        f"seed: {len(material)} bytes from {distinct_count(trace)} distinct "
         f"deltas (samples={config.samples} scale={config.scale} "
         f"stretch={config.stretch}){note}"
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NonMonotonicTimerError
 from .timer import TimerSpec, default_clock, probe_resolution
@@ -53,10 +53,11 @@ class TimingTrace:
     """Ordered runtime deltas from one collection run, plus provenance.
 
     samples holds integer-nanosecond deltas in collection order. Immutable so
-    traces can be shared across analysis code without defensive copies.
+    traces can be shared across analysis code without defensive copies. The
+    repr leaves the deltas out.
     """
 
-    samples: tuple[int, ...]
+    samples: tuple[int, ...] = field(repr=False)
     config: CollectorConfig
     timer: TimerSpec
 

@@ -9,9 +9,8 @@ distinct-value floor, no seed bytes exist at all.
 from __future__ import annotations
 
 import io
-import json
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 from .collector import TimingTrace, distinct_count
 from .errors import InsufficientEntropyError
@@ -57,27 +56,17 @@ class SeedOutput:
     """The digest chain produced from one trace.
 
     material is the concatenated chain, digests[0] first; digests is a view
-    of the same bytes. source_fingerprint hashes the provenance (config +
-    timer spec) for audit trails only; it is never an input to the seed
-    digests.
+    of the same bytes. The repr leaves the material out.
     """
 
-    material: bytes
-    source_fingerprint: str
+    material: bytes = field(repr=False)
 
     @property
     def digests(self) -> DigestChain:
         return DigestChain(self.material)
 
-    @property
-    def total_bytes(self) -> int:
-        return len(self.material)
-
     def to_bytes(self) -> bytes:
         return self.material
-
-    def hex(self) -> str:
-        return self.material.hex()
 
 
 def serialize_trace(trace: TimingTrace) -> bytes:
@@ -91,14 +80,6 @@ def serialize_trace(trace: TimingTrace) -> bytes:
     except OverflowError:
         bad = next(delta for delta in samples if not 0 <= delta < 2**64)
         raise ValueError(f"trace delta {bad} does not fit in 8 unsigned bytes") from None
-
-
-def _fingerprint(trace: TimingTrace) -> str:
-    import hashlib
-
-    provenance = {"config": asdict(trace.config), "timer": asdict(trace.timer)}
-    canonical = json.dumps(provenance, sort_keys=True).encode()
-    return hashlib.sha256(canonical).hexdigest()
 
 
 def condition(
@@ -138,7 +119,7 @@ def condition(
         digest = sha256(digest + serialized).digest()
         material.write(digest)
 
-    return SeedOutput(material=material.getvalue(), source_fingerprint=_fingerprint(trace))
+    return SeedOutput(material=material.getvalue())
 
 
 def mk0_stream(count: int, write=None) -> bytes | None:

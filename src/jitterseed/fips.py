@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -81,7 +81,7 @@ class FipsRateReport:
 
     blocks_tested: int
     blocks_passed: int
-    failures: dict[str, int] = field(default_factory=dict)
+    failures: dict[str, int]
 
     @property
     def pass_rate(self) -> float:

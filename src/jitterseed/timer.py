@@ -27,7 +27,6 @@ class TimerSpec:
     name: str
     resolution_ns: int
     monotonic: bool
-    probe_reads: int
 
 
 class PerfCounterClock:
@@ -110,9 +109,4 @@ def probe_resolution(clock=None) -> TimerSpec:
                 f"and {ADVANCE_TIMEOUT_S:.3f}s of waiting"
             )
 
-    return TimerSpec(
-        name=clock.name,
-        resolution_ns=best,
-        monotonic=clock.monotonic,
-        probe_reads=PROBE_READS,
-    )
+    return TimerSpec(name=clock.name, resolution_ns=best, monotonic=clock.monotonic)

@@ -6,7 +6,7 @@ from jitterseed.analysis import HISTOGRAM_CSV_HEADER
 from jitterseed.collector import CollectorConfig, TimingTrace
 from jitterseed.timer import TimerSpec
 
-TEST_TIMER = TimerSpec(name="test", resolution_ns=1, monotonic=True, probe_reads=2)
+TEST_TIMER = TimerSpec(name="test", resolution_ns=1, monotonic=True)
 
 
 class FrozenClock:
