@@ -12,7 +12,8 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+
+from .record import Record
 
 DEFAULT_TOP_K = 20
 
@@ -25,8 +26,7 @@ SEED_STANDARD_BITS = 256
 HISTOGRAM_CSV_HEADER = ("value_ns", "count")
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(Record):
     """Exact-value histogram over one or more traces, plus summary stats."""
 
     histogram: dict[int, int]
@@ -41,8 +41,7 @@ class DistributionReport:
         return self.flatness_ratio <= FLAT_RATIO_MAX
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(Record):
     """Worst-case key-space size for samples draws over n_top values."""
 
     n_top: int
@@ -161,8 +160,8 @@ def report_document(timer_spec, config, report: DistributionReport) -> dict:
     n_top = min(DEFAULT_TOP_K, report.unique_values)
     estimate = estimate_worst_case_entropy(n_top, config.samples)
     return {
-        "timer": asdict(timer_spec),
-        "config": asdict(config),
+        "timer": timer_spec._asdict(),
+        "config": config._asdict(),
         "distribution": {
             "total_samples": report.total_samples,
             "unique_values": report.unique_values,
@@ -171,7 +170,7 @@ def report_document(timer_spec, config, report: DistributionReport) -> dict:
             "top_k": [[value, count] for value, count in report.top_k],
             "runs": report.runs,
         },
-        "entropy": {**asdict(estimate), "meets_standard": meets_seed_standard(estimate)},
+        "entropy": {**estimate._asdict(), "meets_standard": meets_seed_standard(estimate)},
     }
 
 

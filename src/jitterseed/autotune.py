@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, replace
 
 from .collector import (
     DEFAULT_BUDGET_NS,
@@ -21,6 +20,7 @@ from .collector import (
     projected_ns,
 )
 from .conditioner import DEFAULT_QUALITY_FLOOR
+from .record import Record
 from .timer import TimerSpec, default_clock, probe_resolution
 
 PROBE_RUNS_PER_SCALE = 3
@@ -32,8 +32,7 @@ class TuneVerdict(str, enum.Enum):
     UNATTAINABLE = "unattainable"
 
 
-@dataclass(frozen=True)
-class TuneResult:
+class TuneResult(Record):
     config: CollectorConfig
     probe_runs: int
     achieved_distinct: int
@@ -90,7 +89,7 @@ def tune(
                 else TuneVerdict.TUNED
             )
             break
-        candidate = replace(candidate, scale=candidate.scale * 2)
+        candidate = candidate._replace(scale=candidate.scale * 2)
 
     return TuneResult(
         config=probed,

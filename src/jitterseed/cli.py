@@ -16,7 +16,6 @@ import io
 import os
 import stat
 import sys
-from dataclasses import asdict
 
 # analysis and autotune are imported inside the commands that use them, so a
 # seed, mk0 or fips process never loads them.
@@ -201,7 +200,7 @@ def cmd_tune(args) -> int:
     stdout = _std_stream("stdout")
     result = _tune(args, CollectorConfig(), default_clock())
     # The report is written whatever the verdict, then an unattainable one fails.
-    write_json_report(asdict(result), stdout)
+    write_json_report(result._asdict(), stdout)
     _tuned_config(args, result)
     return 0
 
@@ -312,7 +311,7 @@ def cmd_probe(args) -> int:
 
     stdout = _std_stream("stdout")
     timer_spec = probe_resolution(default_clock())
-    write_json_report(asdict(timer_spec), stdout)
+    write_json_report(timer_spec._asdict(), stdout)
     return 0
 
 

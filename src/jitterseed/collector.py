@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 
 from .errors import NonMonotonicTimerError
+from .record import Record
 from .timer import TimerSpec, default_clock, probe_resolution
 
 # The kernel's two addends.
@@ -26,8 +26,7 @@ _collection_lock = threading.Lock()
 DEFAULT_BUDGET_NS = 5_000_000_000
 
 
-@dataclass(frozen=True)
-class CollectorConfig:
+class CollectorConfig(Record):
     """Knobs for one collection run.
 
     scale is the per-sample workload repeat count; it is the lever that
@@ -48,8 +47,7 @@ class CollectorConfig:
             raise ValueError(f"stretch must be >= 0, got {self.stretch}")
 
 
-@dataclass(frozen=True)
-class TimingTrace:
+class TimingTrace(Record, hidden=("samples",)):
     """Ordered runtime deltas from one collection run, plus provenance.
 
     samples holds integer-nanosecond deltas in collection order. Immutable so
@@ -57,7 +55,7 @@ class TimingTrace:
     repr leaves the deltas out.
     """
 
-    samples: tuple[int, ...] = field(repr=False)
+    samples: tuple[int, ...]
     config: CollectorConfig
     timer: TimerSpec
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import io
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .collector import TimingTrace, distinct_count
 from .errors import InsufficientEntropyError
+from .record import Record
 
 DEFAULT_QUALITY_FLOOR = 20
 
@@ -51,15 +51,14 @@ class DigestChain(Sequence):
         return self._material[starts : starts + DIGEST_BYTES]
 
 
-@dataclass(frozen=True)
-class SeedOutput:
+class SeedOutput(Record, hidden=("material",)):
     """The digest chain produced from one trace.
 
     material is the concatenated chain, digests[0] first; digests is a view
     of the same bytes. The repr leaves the material out.
     """
 
-    material: bytes = field(repr=False)
+    material: bytes
 
     @property
     def digests(self) -> DigestChain:

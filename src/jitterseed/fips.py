@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import io
 import threading
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import ShortStreamError
+from .record import Record
 
 BLOCK_BITS = 20000
 BLOCK_BYTES = BLOCK_BITS // 8
@@ -46,8 +46,7 @@ _BATTERY_FLAGS = attrgetter(*(f"{name}_pass" for name in BATTERY_TESTS))
 BLOCK_CSV_HEADER = "block,monobit,poker,runs,longrun,pass"
 
 
-@dataclass(frozen=True)
-class FipsBlockResult:
+class FipsBlockResult(Record):
     """Verdicts and raw statistics for one 20000-bit block."""
 
     block_index: int
@@ -75,8 +74,7 @@ class FipsBlockResult:
         return all(_BATTERY_FLAGS(self)) and self.continuous_pass is not False
 
 
-@dataclass(frozen=True)
-class FipsRateReport:
+class FipsRateReport(Record):
     """Aggregate verdict tally over a run of consecutive blocks."""
 
     blocks_tested: int

@@ -9,9 +9,8 @@ from what the platform advertises.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-
 from .errors import StuckClockError
+from .record import Record
 
 PROBE_READS = 1000
 
@@ -20,8 +19,7 @@ PROBE_READS = 1000
 ADVANCE_TIMEOUT_S = 1.0
 
 
-@dataclass(frozen=True)
-class TimerSpec:
+class TimerSpec(Record):
     """What a probe learned about a clock."""
 
     name: str

@@ -715,15 +715,21 @@ def test_parsed_defaults_come_from_the_library():
 # that use them.
 UNUSED_TOOLS = {"jitterseed.analysis", "jitterseed.autotune", "csv", "json"}
 
+# No command builds a record through dataclasses, which imports inspect.
+RECORD_TOOLS = {"dataclasses", "inspect"}
+
 COMMAND_MODULES_NOT_LOADED = {
-    "seed": (["seed", "--out", "{tmp}/seed.bin"], {"numpy", *UNUSED_TOOLS}),
-    "probe": (["probe"], {"numpy"}),
-    "tune": (["tune", "--budget-ms", "200"], {"numpy"}),
-    "mk0": (["mk0", "--count", "10", "--out", "{tmp}/mk0.bin"], {"numpy", "queue", *UNUSED_TOOLS}),
-    "analyze": (["analyze", "--runs", "1"], {"numpy"}),
+    "seed": (["seed", "--out", "{tmp}/seed.bin"], {"numpy", *UNUSED_TOOLS, *RECORD_TOOLS}),
+    "probe": (["probe"], {"numpy", *RECORD_TOOLS}),
+    "tune": (["tune", "--budget-ms", "200"], {"numpy", *RECORD_TOOLS}),
+    "mk0": (
+        ["mk0", "--count", "10", "--out", "{tmp}/mk0.bin"],
+        {"numpy", "queue", *UNUSED_TOOLS, *RECORD_TOOLS},
+    ),
+    "analyze": (["analyze", "--runs", "1"], {"numpy", *RECORD_TOOLS}),
     "fips": (
         ["fips", "{tmp}/in.bin", "--continuous", "--per-block", "{tmp}/blocks.csv"],
-        {"_hashlib", "hashlib", *UNUSED_TOOLS},
+        {"_hashlib", "hashlib", *UNUSED_TOOLS, *RECORD_TOOLS},
     ),
 }
 
