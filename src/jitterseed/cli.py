@@ -145,7 +145,11 @@ def _output(path):
     # At most 32 characters of the name (128 bytes of UTF-8) keep the
     # temporary name within 255 bytes whatever the target's length.
     temp = os.path.join(directory, f".{name[:32]}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError as exc:
+        # The temporary name means nothing to the user; the target does.
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "wb") as sink:
             yield sink
@@ -415,7 +419,16 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    code = run_cli()
+    try:
+        code = run_cli()
+    except KeyboardInterrupt:
+        # End by the signal, as an interrupted command should, without a
+        # traceback, and without the exit-time flush of a stdout whose
+        # reader may have stalled. Any output file was removed on the way.
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
     # Every object left now lives until the process ends, so the collections
     # that run while the interpreter shuts down need not scan them: frozen,
     # they are skipped (about 20 ms once numpy is loaded, on a 2 vCPU Xeon

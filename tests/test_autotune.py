@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -151,7 +150,7 @@ def test_result_serializes_to_json():
         elapsed_ns=1234,
         verdict=TuneVerdict.TUNED,
     )
-    payload = json.loads(json.dumps(asdict(result)))
+    payload = json.loads(json.dumps(result._asdict()))
     assert payload["verdict"] == "tuned"
     assert payload["config"]["scale"] == 16
     assert payload["probe_runs"] == 6

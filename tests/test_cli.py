@@ -108,6 +108,28 @@ def test_write_error_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert "No space left on device" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "--out", "{target}"],
+        ["mk0", "--count", "10", "--out", "{target}"],
+        ["fips", "{source}", "--per-block", "{target}"],
+        ["analyze", "--runs", "1", "--csv", "{target}"],
+        ["analyze", "--runs", "1", "--log", "{target}"],
+    ],
+    ids=["seed", "mk0", "fips", "analyze-csv", "analyze-log"],
+)
+def test_uncreatable_output_is_named_in_the_error(tmp_path, argv, capsys):
+    # The error names the target, not the temporary file beside it.
+    source = tmp_path / "in.bin"
+    source.write_bytes(mk0_stream(80))
+    target = tmp_path / "missing" / "out"
+    assert run_cli([arg.format(source=source, target=target) for arg in argv]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and str(target) in line and ".tmp" not in line
+    assert os.listdir(tmp_path) == ["in.bin"]
+
+
 def _identity(st) -> tuple:
     return st.st_dev, st.st_ino
 
@@ -1024,6 +1046,12 @@ def test_mk0_failing_producer_stops_its_writer(tmp_path, monkeypatch, capsys):
     assert threading.active_count() == threads
 
 
+def _default_sigint():
+    # A suite started as a background job ignores SIGINT, and so would the
+    # child; Python turns SIGINT into KeyboardInterrupt only from the default.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="SIGINT")
 def test_mk0_interrupt_does_not_wait_for_a_stalled_reader():
     # Nothing reads the pipe, so the writer is stuck in a write when the
@@ -1036,6 +1064,7 @@ def test_mk0_interrupt_does_not_wait_for_a_stalled_reader():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
+        preexec_fn=_default_sigint,
     )
     time.sleep(1)
     proc.send_signal(signal.SIGINT)
@@ -1048,6 +1077,7 @@ def test_mk0_interrupt_does_not_wait_for_a_stalled_reader():
     stderr = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.returncode == -signal.SIGINT, stderr
+    assert "Traceback" not in stderr
 
 
 def _limit_address_space():

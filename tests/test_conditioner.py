@@ -147,7 +147,7 @@ def test_negative_floor_rejected():
 def test_seed_bytes_ignore_the_timer():
     samples = list(range(1, 101))
     a = make_trace(samples)
-    b = make_trace(samples, timer=TimerSpec("other", 500, True))
+    b = make_trace(samples, timer=TimerSpec(name="other", resolution_ns=500, monotonic=True))
     # Same deltas, same stretch: identical seed bytes.
     assert condition(a).to_bytes() == condition(b).to_bytes()
 

@@ -1,7 +1,6 @@
 """The library's error contract: a bad argument raises ValueError, and a
 SeederError means a run with valid arguments failed (the CLI's exit 1)."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -27,7 +26,7 @@ BAD_CALLS = {
     "CollectorConfig(samples=0)": lambda: CollectorConfig(samples=0),
     "CollectorConfig(scale=0)": lambda: CollectorConfig(scale=0),
     "CollectorConfig(stretch=-1)": lambda: CollectorConfig(stretch=-1),
-    "replace(CollectorConfig(), scale=0)": lambda: replace(CollectorConfig(), scale=0),
+    "replace(CollectorConfig(), scale=0)": lambda: CollectorConfig()._replace(scale=0),
     "serialize_trace(empty)": lambda: serialize_trace(make_trace([])),
     "condition(quality_floor=-1)": lambda: condition(
         make_trace(range(1, 101)), quality_floor=-1

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import os
@@ -383,8 +382,7 @@ def test_block_csv_row_format():
 @pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=4)))
 def test_row_and_pass_read_the_same_flags_as_verdicts(flags, continuous):
     base = fips_block_tests(mk0_stream(79)[:2500], block_index=3)
-    result = dataclasses.replace(
-        base,
+    result = base._replace(
         **{f"{name}_pass": flag for name, flag in zip(BATTERY_TESTS, flags)},
         continuous_pass=continuous,
     )
@@ -522,8 +520,8 @@ def test_kernel_matches_numpy_reference():
     mk0_blocks = [stream[i : i + BLOCK_BYTES] for i in range(0, len(stream), BLOCK_BYTES)]
     assert len(mk0_blocks) == 512
     for index, block in enumerate(golden_corpus() + crafted_kernel_blocks() + mk0_blocks):
-        got = dataclasses.astuple(fips_block_tests(block, block_index=index))
-        assert got == dataclasses.astuple(numpy_reference_block_tests(block, index))
+        got = fips_block_tests(block, block_index=index)
+        assert got == numpy_reference_block_tests(block, index)
 
 
 def test_concurrent_pass_rates_match_sequential():

@@ -39,7 +39,7 @@ def test_now_ticks_tracks_wall_clock():
 
 def test_probe_real_clock_fields():
     spec = probe_resolution()
-    assert spec == TimerSpec("perf_counter_ns", spec.resolution_ns, True)
+    assert spec == TimerSpec(name="perf_counter_ns", resolution_ns=spec.resolution_ns, monotonic=True)
     assert spec.resolution_ns >= 1
     # Probing a ns-class clock back-to-back cannot plausibly exceed 1 ms.
     assert spec.resolution_ns < 1_000_000
