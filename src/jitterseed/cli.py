@@ -16,6 +16,7 @@ import io
 import os
 import stat
 import sys
+import time
 
 # analysis and autotune are imported inside the commands that use them, so a
 # seed, mk0 or fips process never loads them.
@@ -64,7 +65,7 @@ def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
         "--budget-ms",
         type=_int_at_least(1),
         default=DEFAULT_BUDGET_NS // 1_000_000,
-        help="time budget for collecting, tuning included",
+        help="time budget for probing, tuning and collecting",
     )
 
 
@@ -170,12 +171,15 @@ def _output(path):
 def cmd_seed(args) -> int:
     quantum_ns = args.simulate_quantum_ns
     clock = default_clock() if quantum_ns is None else SimulatedClock(quantum_ns)
+    # The budget covers the probe, any tuning and the seed's own collection.
+    started = time.perf_counter_ns()
     timer_spec = probe_resolution(clock)
     config = CollectorConfig(samples=args.samples, scale=args.scale, stretch=args.stretch)
 
     if args.tune:
         config = _tuned_config(args, _tune(args, config, clock, timer_spec))
-    elif projected_ns(config) > args.budget_ms * 1_000_000:
+    elapsed = time.perf_counter_ns() - started
+    if elapsed + projected_ns(config) > args.budget_ms * 1_000_000:
         raise InsufficientEntropyError(
             f"collecting {config.samples} samples at scale={config.scale} "
             f"would exceed {args.budget_ms} ms"

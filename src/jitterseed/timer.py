@@ -14,8 +14,8 @@ from .record import Record
 
 PROBE_READS = 1000
 
-# When back-to-back reads never disagree, wait this long (host wall clock)
-# for the probed clock to advance before declaring it stuck.
+# How long (host wall clock, from the start of a probe) a clock may show no
+# step before the probe declares it stuck.
 ADVANCE_TIMEOUT_S = 1.0
 
 
@@ -68,43 +68,33 @@ def default_clock() -> PerfCounterClock:
 def probe_resolution(clock=None) -> TimerSpec:
     """Measure the smallest positive step the clock will show.
 
-    Takes ``PROBE_READS`` back-to-back read pairs and keeps the minimum
-    positive delta. A coarse clock may sit still for every pair; in that case
-    the probe waits (bounded by ``ADVANCE_TIMEOUT_S`` of host wall time) for up
-    to three advances and takes the smallest, so a 16 ms quantum reports
-    ~16 ms instead of masquerading as a dead clock. Only a clock that never
-    moves at all raises StuckClockError.
+    Reads the clock in rounds of ``PROBE_READS`` back-to-back reads and keeps
+    the minimum positive delta, stopping after the first round that saw one.
+    A fine clock steps within the first round; a coarse one may sit still
+    through several, so a 16 ms quantum reports 16 ms after about one tick
+    instead of masquerading as a dead clock. A clock that has not moved once
+    ``ADVANCE_TIMEOUT_S`` of host wall time has passed since the probe began
+    raises StuckClockError.
 
     Probing is timing-sensitive; run it single-threaded.
     """
     if clock is None:
         clock = default_clock()
 
+    deadline = time.monotonic() + ADVANCE_TIMEOUT_S
     best = None
     prev = clock.now_ticks()
-    for _ in range(PROBE_READS):
-        cur = clock.now_ticks()
-        delta = cur - prev
-        if delta > 0 and (best is None or delta < best):
-            best = delta
-        prev = cur
-
-    if best is None:
-        deadline = time.monotonic() + ADVANCE_TIMEOUT_S
-        anchor = clock.now_ticks()
-        seen = 0
-        while seen < 3 and time.monotonic() < deadline:
+    while True:
+        for _ in range(PROBE_READS):
             cur = clock.now_ticks()
-            if cur > anchor:
-                delta = cur - anchor
-                if best is None or delta < best:
-                    best = delta
-                anchor = cur
-                seen += 1
-        if best is None:
+            delta = cur - prev
+            if delta > 0 and (best is None or delta < best):
+                best = delta
+            prev = cur
+        if best is not None:
+            return TimerSpec(name=clock.name, resolution_ns=best, monotonic=clock.monotonic)
+        if time.monotonic() >= deadline:
             raise StuckClockError(
                 f"{clock.name} never advanced across {PROBE_READS} read pairs "
                 f"and {ADVANCE_TIMEOUT_S:.3f}s of waiting"
             )
-
-    return TimerSpec(name=clock.name, resolution_ns=best, monotonic=clock.monotonic)

@@ -13,6 +13,7 @@ from jitterseed.autotune import (
 from jitterseed.collector import CollectorConfig
 from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR
 from jitterseed.errors import StuckClockError
+from jitterseed import timer
 from jitterseed.timer import SimulatedClock
 
 
@@ -137,7 +138,8 @@ def test_real_clock_meets_default_floor():
     assert 0 < result.elapsed_ns
 
 
-def test_stuck_clock_surfaces_during_probe():
+def test_stuck_clock_surfaces_during_probe(monkeypatch):
+    monkeypatch.setattr(timer, "ADVANCE_TIMEOUT_S", 0.05)
     with pytest.raises(StuckClockError):
         tune(CollectorConfig(), clock=FrozenClock())
 

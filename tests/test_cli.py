@@ -258,6 +258,17 @@ def test_seed_tune_success_writes_seed(tmp_path, capsys):
     assert re.search(r"seed: 3232 bytes .* after tuning to scale=\d+\n\Z", captured.err)
 
 
+def test_seed_tune_checks_its_own_collection_against_the_budget(tmp_path, monkeypatch, capsys):
+    # Tuning reads autotune's own projected_ns and succeeds; only the check
+    # of the tuned seed's collection sees a projection past the budget.
+    monkeypatch.setattr(cli, "projected_ns", lambda config: 1000 * 1_000_000 + 1)
+    out = tmp_path / "seed.bin"
+    assert run_cli(["seed", "--tune", "--budget-ms", "1000", "--out", str(out)]) == 1
+    assert os.listdir(tmp_path) == []
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "would exceed 1000 ms" in errors[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

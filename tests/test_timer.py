@@ -66,6 +66,42 @@ def test_probe_frozen_clock_raises_stuck(monkeypatch):
         probe_resolution(FrozenClock())
 
 
+class CountingClock:
+    """Steps by quantum once every `every` reads, at most `steps` times, and
+    counts its reads."""
+
+    name = "counting"
+    monotonic = True
+
+    def __init__(self, quantum, every, steps=None):
+        self.quantum, self.every, self.steps = quantum, every, steps
+        self.reads = 0
+
+    def now_ticks(self):
+        ticks = self.reads // self.every
+        if self.steps is not None:
+            ticks = min(ticks, self.steps)
+        self.reads += 1
+        return ticks * self.quantum
+
+
+def test_probe_stops_at_the_first_round_with_a_step():
+    # A clock slower than a round of reads is reported within the round that
+    # sees its first step, not after three waited-for steps.
+    clock = CountingClock(QUANTUM_16MS, every=2500)
+    assert probe_resolution(clock).resolution_ns == QUANTUM_16MS
+    assert clock.reads <= 3 * timer.PROBE_READS + 1
+
+
+def test_probe_returns_a_single_step_without_waiting(monkeypatch):
+    # A clock that steps once in the second round and never again is not
+    # waited on until the deadline.
+    monkeypatch.setattr(timer, "ADVANCE_TIMEOUT_S", 0.2)
+    clock = CountingClock(QUANTUM_16MS, every=1500, steps=1)
+    assert probe_resolution(clock).resolution_ns == QUANTUM_16MS
+    assert clock.reads <= 2 * timer.PROBE_READS + 1
+
+
 def test_simulated_clock_quantizes_and_stays_monotonic():
     clock = SimulatedClock(1000)
     readings = [clock.now_ticks() for _ in range(200)]
