@@ -128,8 +128,9 @@ def _output(path):
 
     The file is written as a new mode-0600 file beside path, fsynced and then
     renamed over path, so path holds either its old content or all of the
-    output, and no other user can read it. On any exception the temporary
-    file is removed. An existing path that is not a regular file is refused.
+    output, and no other user can read it. An exception or Ctrl-C removes
+    the temporary file; SIGTERM, SIGHUP or SIGKILL can leave it behind. An
+    existing path that is not a regular file is refused.
     Where the platform can open a directory, the directory is fsynced after
     the rename, so that a crash cannot bring the old file back; if that
     fsync fails, the new file stays in place and the error propagates.
@@ -256,7 +257,13 @@ def cmd_fips(args) -> int:
     # other command's start-up. The battery runs on one thread, so OpenBLAS
     # need not start a thread pool (about 70 ms of CPU) unless asked to.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import fips
+    try:
+        from . import fips
+    except ModuleNotFoundError as exc:
+        # Any other missing module is a fault of the package, not of the host.
+        if str(exc.name).partition(".")[0] != "numpy":
+            raise
+        raise SeederError(f"the battery needs numpy, which cannot be imported: {exc}") from None
 
     # Checked first, so that the CSV replaces nothing when the summary has
     # nowhere to go.

@@ -10,7 +10,6 @@ them is a floor, not a proof of randomness.
 from __future__ import annotations
 
 import io
-import threading
 from operator import attrgetter
 
 import numpy as np
@@ -178,22 +177,16 @@ _RUN_LO = np.array([lo for lo, _ in RUN_INTERVALS])
 _RUN_HI = np.array([hi for _, hi in RUN_INTERVALS])
 
 
-class _ChunkBuffers(threading.local):
-    """Scratch arrays sized for one chunk, reused by every chunk a thread tests.
-
-    Fresh copies of the bin indices (about 640 KB a chunk) would come and go
-    with every chunk, and freeing them lets glibc trim the heap top and fault
-    it back in on the next chunk.
-    """
-
-    def __init__(self) -> None:
-        self.bytes = np.empty((CHUNK_BLOCKS, BLOCK_BYTES), dtype=np.intp)
-        self.pairs = np.empty((CHUNK_BLOCKS, BLOCK_BYTES - 1), dtype=np.intp)
-        self.trail = np.empty((CHUNK_BLOCKS, BLOCK_BYTES), dtype=np.uint8)
-        self.lead = np.empty((CHUNK_BLOCKS, BLOCK_BYTES), dtype=np.uint8)
-
-
-_buffers = _ChunkBuffers()
+def _chunk_scratch(blocks: int) -> tuple:
+    """Kernel scratch for chunks of up to `blocks` blocks, made once per call:
+    fresh bin indices freed after every chunk would let glibc trim the heap
+    top and fault it back in on the next chunk."""
+    return (
+        np.empty((blocks, BLOCK_BYTES), dtype=np.intp),
+        np.empty((blocks, BLOCK_BYTES - 1), dtype=np.intp),
+        np.empty((blocks, BLOCK_BYTES), dtype=np.uint8),
+        np.empty((blocks, BLOCK_BYTES), dtype=np.uint8),
+    )
 
 
 def _raise_to_chain_runs(flat, longest) -> None:
@@ -219,21 +212,25 @@ def _raise_to_chain_runs(flat, longest) -> None:
     np.maximum.at(longest, start // BLOCK_BYTES, bits)
 
 
-def _test_blocks(data, first_index: int, continuous: list) -> list[FipsBlockResult]:
+def _test_blocks(data, first_index: int, continuous: list, scratch) -> list[FipsBlockResult]:
     """Run the four tests on each whole block of data, at most CHUNK_BLOCKS.
 
     continuous holds each block's continuous-check verdict, recorded as given.
+    Besides temporaries it writes only scratch (_chunk_scratch, 45 KB a
+    block), which its caller makes once per call and reuses for every chunk:
+    concurrent and nested calls share nothing.
     """
+    byte_bins, pair_bins, trail_codes, lead_codes = scratch
     count = len(data) // BLOCK_BYTES
     arr = np.frombuffer(data, dtype=np.uint8).reshape(count, BLOCK_BYTES)
-    index = _buffers.bytes[:count]
+    index = byte_bins[:count]
     np.copyto(index, arr)
     # mode="clip" lets take write straight into out; every index is in range.
-    trail = np.take(_TRAIL_HIGH, index, out=_buffers.trail[:count], mode="clip")
-    lead = np.take(_LEAD, index, out=_buffers.lead[:count], mode="clip")
+    trail = np.take(_TRAIL_HIGH, index, out=trail_codes[:count], mode="clip")
+    lead = np.take(_LEAD, index, out=lead_codes[:count], mode="clip")
     index += _BYTE_BINS[:count]
     histogram = np.bincount(index.ravel(), minlength=512 * count)
-    pairs = np.bitwise_or(trail[:, :-1], lead[:, 1:], out=_buffers.pairs[:count])
+    pairs = np.bitwise_or(trail[:, :-1], lead[:, 1:], out=pair_bins[:count])
     pairs += _PAIR_BINS[:count]
     histogram += np.bincount(pairs.ravel(), minlength=512 * count)
     histogram = histogram.reshape(count, 512)
@@ -288,7 +285,7 @@ def fips_block_tests(block: bytes, block_index: int = 0) -> FipsBlockResult:
     """Run the four tests on exactly one 20000-bit block (no continuous check)."""
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"block must be exactly {BLOCK_BYTES} bytes, got {len(block)}")
-    return _test_blocks(block, block_index, [None])[0]
+    return _test_blocks(block, block_index, [None], _chunk_scratch(1))[0]
 
 
 def _repeated_words(data: bytes, last_word: bytes | None) -> tuple[list[bool], bytes]:
@@ -346,6 +343,7 @@ def fips_pass_rate(
     tested = 0
     passed = 0
     last_word: bytes | None = None
+    scratch = _chunk_scratch(CHUNK_BLOCKS if blocks is None else min(CHUNK_BLOCKS, blocks))
 
     while blocks is None or tested < blocks:
         wanted = CHUNK_BLOCKS if blocks is None else min(CHUNK_BLOCKS, blocks - tested)
@@ -357,7 +355,7 @@ def fips_pass_rate(
         if continuous_check:
             repeated, last_word = _repeated_words(data, last_word)
             continuous = [not flag for flag in repeated]
-        for result in _test_blocks(data, tested, continuous):
+        for result in _test_blocks(data, tested, continuous, scratch):
             if result.passed:
                 passed += 1
             else:

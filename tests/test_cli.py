@@ -803,6 +803,44 @@ def test_commands_leave_modules_they_do_not_need_unloaded(tmp_path, argv, module
     assert proc.returncode == 0, proc.stderr
 
 
+def test_fips_without_numpy_is_one_error_line(tmp_path):
+    # A host without numpy (say, after pip install --no-deps) loses only the
+    # battery, and says so in one line instead of a traceback.
+    (tmp_path / "in.bin").write_bytes(mk0_stream(100))
+
+    def run_without_numpy(argv):
+        script = textwrap.dedent(
+            f"""
+            import sys
+
+            class BlockNumpy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" or name.startswith("numpy."):
+                        raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+                    return None
+
+            sys.meta_path.insert(0, BlockNumpy())
+            sys.argv = ["jitterseed", *{argv!r}]
+            from jitterseed import cli
+            cli.main()
+            """
+        )
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+
+    proc = run_without_numpy(["fips", str(tmp_path / "in.bin")])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    stderr = proc.stderr.decode()
+    assert len(stderr.splitlines()) == 1, stderr
+    assert stderr.startswith("error:") and "numpy" in stderr and "Traceback" not in stderr
+    proc = run_without_numpy(["seed", "--out", str(tmp_path / "seed.bin")])
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "seed.bin").stat().st_size == SEED_BYTES
+    proc = run_without_numpy(["mk0", "--count", "10"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == mk0_stream(10)
+
+
 def test_console_entry_point_freezes_the_collector_before_exit():
     # Shutdown's collections then skip every object left, which all live
     # until the process ends anyway.

@@ -554,6 +554,39 @@ def test_concurrent_pass_rates_match_sequential():
     assert got == expected
 
 
+def test_nested_pass_rates_match_sequential():
+    # A block_sink may run the battery itself, on the same thread; neither
+    # call may see the other's blocks.
+    outer_source = mk0_stream(40 * BLOCK_BYTES // 32)
+    corpus = golden_corpus()
+
+    def inner_runs(result):
+        # Other data for every outer block: a 5-block run with the word
+        # check, 20 blocks until EOF (two chunks), and one block on its own.
+        start = result.block_index % len(corpus)
+        rotated = corpus[start:] + corpus[:start]
+        seen = []
+        few = b"".join(rotated[:5])
+        report = fips_pass_rate(few, blocks=5, continuous_check=True, block_sink=seen.append)
+        many = fips_pass_rate(b"".join(rotated[:20]))
+        return report, seen, many, fips_block_tests(rotated[-1], start)
+
+    outer_seen, nested = [], []
+
+    def sink(result):
+        outer_seen.append(result)
+        nested.append(inner_runs(result))
+
+    report = fips_pass_rate(outer_source, continuous_check=True, block_sink=sink)
+
+    expected_seen = []
+    expected = fips_pass_rate(outer_source, continuous_check=True, block_sink=expected_seen.append)
+    assert report == expected
+    assert report.blocks_tested == 40
+    assert outer_seen == expected_seen
+    assert nested == [inner_runs(result) for result in expected_seen]
+
+
 def _minor_faults(args) -> int:
     proc = subprocess.Popen(
         [sys.executable, "-m", "jitterseed", "fips", *args],
