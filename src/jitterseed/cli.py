@@ -27,6 +27,11 @@ from .timer import SimulatedClock, default_clock, probe_resolution
 
 # The capacity mk0 gives a pipe it writes to. At the default 64 KiB, mk0 and
 # a slower reader such as fips take turns instead of running side by side.
+# Both neighbours were slower for `mk0 --count 400000 | fips - --continuous
+# --per-block` (median of alternating runs, 2 vCPU Xeon, Python 3.11.7):
+# 64 KiB took 588.5 and 708.7 ms to 1 MiB's 537.1 and 646.1 ms (1 MiB faster
+# in 13 and 12 of 14), and 16 MiB took 656.1, 615.0 and 730.6 ms to 581.7,
+# 548.9 and 686.0 ms (13 of 14, 10 of 10 and 11 of 14).
 MK0_PIPE_BYTES = 1 << 20
 
 

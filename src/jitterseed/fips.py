@@ -143,15 +143,15 @@ def _byte_tables():
     # faster than numpy's integer one.
     table = np.concatenate((inside, pairs.reshape(256, 2 * _WINDOW_BITS))).astype(np.float64)
     joins = ((length[:, None] + length[None, :]) * joined).reshape(256)
-    trail_high = (16 * trail_codes).astype(np.uint8)
-    return trail_high, lead_codes.astype(np.uint8), trail_zeros, lead_zeros, table, joins
+    run_codes = np.stack((16 * trail_codes, lead_codes), axis=1).astype(np.uint8)
+    return run_codes, trail_zeros, lead_zeros, table, joins
 
 
-# _TRAIL_HIGH[b] is 16 * trail code of byte b, _LEAD[b] its lead code, so that
-# their bitwise or is the pair code. _TRAIL_ZEROS[b] and _LEAD_ZEROS[b] count
-# the zero bits that end and start byte b. _JOIN_BITS[pair code] is the length
-# of the run joined across the boundary (0 when trail and lead differ in value).
-_TRAIL_HIGH, _LEAD, _TRAIL_ZEROS, _LEAD_ZEROS, _WINDOW_TABLE, _JOIN_BITS = _byte_tables()
+# _RUN_CODES[b] holds 16 * trail code and the lead code of byte b; the bitwise or
+# of a byte's first and the next byte's second is their pair code. _TRAIL_ZEROS[b]
+# and _LEAD_ZEROS[b] count the zero bits that end and start byte b. _JOIN_BITS[pair
+# code] is the run joined across the boundary (0 when trail and lead differ in value).
+_RUN_CODES, _TRAIL_ZEROS, _LEAD_ZEROS, _WINDOW_TABLE, _JOIN_BITS = _byte_tables()
 
 # Block k of a chunk counts its bytes into bins 512k + byte value and its
 # boundaries into bins 512k + 256 + pair code.
@@ -183,9 +183,7 @@ def _chunk_scratch(blocks: int) -> tuple:
     top and fault it back in on the next chunk."""
     return (
         np.empty((blocks, BLOCK_BYTES), dtype=np.intp),
-        np.empty((blocks, BLOCK_BYTES - 1), dtype=np.intp),
-        np.empty((blocks, BLOCK_BYTES), dtype=np.uint8),
-        np.empty((blocks, BLOCK_BYTES), dtype=np.uint8),
+        np.empty((blocks, BLOCK_BYTES, 2), dtype=np.uint8),
     )
 
 
@@ -216,21 +214,22 @@ def _test_blocks(data, first_index: int, continuous: list, scratch) -> list[Fips
     """Run the four tests on each whole block of data, at most CHUNK_BLOCKS.
 
     continuous holds each block's continuous-check verdict, recorded as given.
-    Besides temporaries it writes only scratch (_chunk_scratch, 45 KB a
+    Besides temporaries it writes only scratch (_chunk_scratch, 25 KB a
     block), which its caller makes once per call and reuses for every chunk:
     concurrent and nested calls share nothing.
     """
-    byte_bins, pair_bins, trail_codes, lead_codes = scratch
+    bins, run_codes = scratch
     count = len(data) // BLOCK_BYTES
     arr = np.frombuffer(data, dtype=np.uint8).reshape(count, BLOCK_BYTES)
-    index = byte_bins[:count]
+    index = bins[:count]
     np.copyto(index, arr)
     # mode="clip" lets take write straight into out; every index is in range.
-    trail = np.take(_TRAIL_HIGH, index, out=trail_codes[:count], mode="clip")
-    lead = np.take(_LEAD, index, out=lead_codes[:count], mode="clip")
+    codes = np.take(_RUN_CODES, index, axis=0, out=run_codes[:count], mode="clip")
     index += _BYTE_BINS[:count]
     histogram = np.bincount(index.ravel(), minlength=512 * count)
-    pairs = np.bitwise_or(trail[:, :-1], lead[:, 1:], out=pair_bins[:count])
+    # Counted, the byte bins are free: the pair bins take their first elements.
+    pairs = bins.ravel()[: count * (BLOCK_BYTES - 1)].reshape(count, BLOCK_BYTES - 1)
+    np.bitwise_or(codes[:, :-1, 0], codes[:, 1:, 1], out=pairs)
     pairs += _PAIR_BINS[:count]
     histogram += np.bincount(pairs.ravel(), minlength=512 * count)
     histogram = histogram.reshape(count, 512)

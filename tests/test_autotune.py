@@ -13,7 +13,7 @@ from jitterseed.autotune import (
 from jitterseed.collector import CollectorConfig
 from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR
 from jitterseed.errors import StuckClockError
-from jitterseed import timer
+from jitterseed import autotune, timer
 from jitterseed.timer import SimulatedClock
 
 
@@ -98,6 +98,21 @@ def test_tiny_budget_is_unattainable_without_probing():
     assert result.probe_runs == 0
     assert result.achieved_distinct == 0
     assert result.config == CollectorConfig()
+
+
+def test_budget_must_hold_every_probe_run_of_a_scale(monkeypatch):
+    # One run fits the budget and three do not, so no run starts.
+    per_run_ns = lambda config: 4_000_000_000 * config.scale // CollectorConfig.scale
+    monkeypatch.setattr(autotune, "projected_ns", per_run_ns)
+    result = tune(
+        CollectorConfig(),
+        clock=ScriptedClock(delta_script([1, 2])),
+        timer_spec=TEST_TIMER,
+        floor=2,
+        budget_ns=10_000_000_000,
+    )
+    assert result.verdict is TuneVerdict.UNATTAINABLE
+    assert result.probe_runs == 0
 
 
 def test_scale_too_large_to_probe_is_unattainable_without_probing():

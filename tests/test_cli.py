@@ -16,7 +16,7 @@ import time
 import pytest
 
 import jitterseed
-from jitterseed import cli
+from jitterseed import autotune, cli
 from jitterseed.autotune import DEFAULT_BUDGET_NS
 from jitterseed.cli import run_cli
 from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR, MK0_CHUNK_DIGESTS, mk0_stream
@@ -195,6 +195,26 @@ def test_out_replaces_a_symlink_to_a_regular_file(tmp_path):
     assert target.read_bytes() == b"old"
 
 
+def test_out_does_not_open_a_planted_temporary_name(tmp_path, monkeypatch, capsys):
+    # With os.urandom fixed, the temporary name is known in advance; a symlink
+    # planted there must not lead the seed into the file it points to.
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"old")
+    victim.chmod(0o644)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.setattr(cli.os, "urandom", lambda size: bytes(size))
+    planted = out_dir / f".seed.bin.{bytes(6).hex()}.tmp"
+    planted.symlink_to(victim)
+    out = out_dir / "seed.bin"
+    assert run_cli(["seed", "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and str(out) in line
+    assert victim.read_bytes() == b"old"
+    assert stat.S_IMODE(victim.stat().st_mode) == 0o644
+    assert os.listdir(out_dir) == [planted.name]
+
+
 def test_out_takes_a_name_of_250_bytes(tmp_path, capsys):
     out = tmp_path / ("a" * 250)
     assert run_cli(["seed", "--out", str(out)]) == 0
@@ -267,6 +287,39 @@ def test_seed_tune_checks_its_own_collection_against_the_budget(tmp_path, monkey
     assert os.listdir(tmp_path) == []
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "would exceed 1000 ms" in errors[0]
+
+
+class LeapingTime:
+    """Stands in for the time module: every read is 1001 ms after the last."""
+
+    def __init__(self):
+        self.now = 0
+
+    def perf_counter_ns(self) -> int:
+        self.now += 1001 * 1_000_000
+        return self.now
+
+
+def test_seed_counts_the_time_already_spent_against_the_budget(tmp_path, monkeypatch, capsys):
+    # The probe alone outlasts the budget, though the collection would take 1 ns.
+    monkeypatch.setattr(cli, "time", LeapingTime())
+    monkeypatch.setattr(cli, "projected_ns", lambda config: 1)
+    out = tmp_path / "seed.bin"
+    out.write_bytes(b"old")
+    assert run_cli(["seed", "--budget-ms", "1000", "--out", str(out)]) == 1
+    assert os.listdir(tmp_path) == ["seed.bin"]
+    assert out.read_bytes() == b"old"
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "would exceed 1000 ms" in line
+
+
+def test_tune_counts_the_time_already_spent_against_the_budget(monkeypatch, capsys):
+    monkeypatch.setattr(autotune, "time", LeapingTime())
+    monkeypatch.setattr(autotune, "projected_ns", lambda config: 1)
+    assert run_cli(["tune", "--budget-ms", "1000"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "unattainable"
+    assert report["probe_runs"] == 0
 
 
 @pytest.mark.parametrize(

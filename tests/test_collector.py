@@ -16,7 +16,7 @@ from jitterseed.collector import (
     projected_ns,
 )
 from jitterseed.errors import NonMonotonicTimerError
-from jitterseed.timer import SimulatedClock
+from jitterseed.timer import SimulatedClock, TimerSpec
 
 
 def test_kernel_single_addition_checksum():
@@ -104,6 +104,20 @@ def test_collect_trace_detects_backwards_step():
     clock = ScriptedClock([1000, 900, 2000, 2100])  # claims monotonic, lies
     with pytest.raises(NonMonotonicTimerError):
         collect_trace(CollectorConfig(samples=2, scale=1), clock, TEST_TIMER)
+
+
+def test_collect_trace_detects_a_one_nanosecond_step_back():
+    clock = ScriptedClock([1000, 999, 2000, 2100])
+    with pytest.raises(NonMonotonicTimerError, match="stepped backwards by 1 ns"):
+        collect_trace(CollectorConfig(samples=2, scale=1), clock, TEST_TIMER)
+
+
+def test_collect_trace_refuses_a_spec_that_says_non_monotonic():
+    # A library caller may hand in a spec from another probe; the spec's own
+    # verdict is trusted even when the clock claims to be monotonic.
+    spec = TimerSpec(name="stepping", resolution_ns=100, monotonic=False)
+    with pytest.raises(NonMonotonicTimerError):
+        collect_trace(CollectorConfig(samples=2, scale=1), SteppingClock(), spec)
 
 
 def test_trace_is_immutable():

@@ -29,6 +29,8 @@ from jitterseed.fips import (
     BATTERY_TESTS,
     BLOCK_CSV_HEADER,
     CHUNK_BLOCKS,
+    LONG_RUN_BITS,
+    RUN_INTERVALS,
     FipsBlockResult,
     _repeated_words,
     block_csv_row,
@@ -179,6 +181,67 @@ def test_poker_band_is_the_published_band(d, expected):
     assert result.poker_statistic == pytest.approx(statistic)
     assert result.poker_pass is reference_verdicts(block)["poker"] is (2.16 < statistic < 46.17)
     assert result.poker_pass is expected
+
+
+# Near the expected run counts of a random block; each bit value has 5000 runs.
+NOMINAL_RUNS = (2500, 1250, 625, 312, 156, 157)
+
+
+def run_counts_with(bit: int, bucket: int, count: int) -> list[list[int]]:
+    """Nominal run counts with counts[bit][bucket] = count. The other buckets of
+    that bit take up the difference, staying strictly inside their intervals,
+    so that both bit values keep 5000 runs."""
+    counts = [list(NOMINAL_RUNS), list(NOMINAL_RUNS)]
+    counts[bit][bucket] = count
+    surplus = count - NOMINAL_RUNS[bucket]
+    for other, (lo, hi) in enumerate(RUN_INTERVALS):
+        if other != bucket:
+            take = min(max(surplus, counts[bit][other] - hi + 1), counts[bit][other] - lo - 1)
+            counts[bit][other] -= take
+            surplus -= take
+    assert surplus == 0
+    return counts
+
+
+def block_with_run_counts(counts) -> bytes:
+    """Alternating zero-runs and one-runs, counts[v][i] of them of bit v and
+    length i + 1; the runs of 6 or more share the bits left over as evenly as
+    they can."""
+    assert sum(counts[0]) == sum(counts[1])
+    spare = BLOCK_BITS - sum((i + 1) * c for bit in (0, 1) for i, c in enumerate(counts[bit][:5]))
+    share, extra = divmod(spare, counts[0][5] + counts[1][5])
+    assert 6 <= share < LONG_RUN_BITS - 1
+    long_lengths = [share + 1] * extra + [share] * (counts[0][5] + counts[1][5] - extra)
+    long_by_bit = (long_lengths[: counts[0][5]], long_lengths[counts[0][5] :])
+    rng = random.Random(sum(map(sum, counts)))
+    runs = []
+    for bit in (0, 1):
+        lengths = [i + 1 for i, c in enumerate(counts[bit][:5]) for _ in range(c)]
+        lengths += long_by_bit[bit]
+        rng.shuffle(lengths)
+        runs.append(lengths)
+    bits = []
+    for zeros, ones in zip(*runs):
+        bits += [0] * zeros + [1] * ones
+    return pack_bits(bits)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("bucket", range(6), ids=["1", "2", "3", "4", "5", "6+"])
+@pytest.mark.parametrize(
+    "edge,step,expected",
+    [("lo", -1, False), ("lo", 0, True), ("hi", 0, True), ("hi", 1, False)],
+    ids=["lo-1", "lo", "hi", "hi+1"],
+)
+def test_run_count_bounds_are_inclusive(bit, bucket, edge, step, expected):
+    # One count at a bound of its interval, or one step past it; every other
+    # count strictly inside its own.
+    lo, hi = RUN_INTERVALS[bucket]
+    counts = run_counts_with(bit, bucket, (lo if edge == "lo" else hi) + step)
+    block = block_with_run_counts(counts)
+    result = fips_block_tests(block)
+    assert result.run_counts == (tuple(counts[0]), tuple(counts[1]))
+    assert result.runs_pass is reference_verdicts(block)["runs"] is expected
 
 
 def test_mk0_stream_blocks_pass_at_reference_rate():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FrozenClock
+from helpers import FrozenClock, ScriptedClock
 from jitterseed.errors import StuckClockError
 from jitterseed import timer
 from jitterseed.timer import (
@@ -100,6 +100,11 @@ def test_probe_returns_a_single_step_without_waiting(monkeypatch):
     clock = CountingClock(QUANTUM_16MS, every=1500, steps=1)
     assert probe_resolution(clock).resolution_ns == QUANTUM_16MS
     assert clock.reads <= 2 * timer.PROBE_READS + 1
+
+
+def test_probe_reports_the_smallest_step():
+    # Steps of 5, 3 and 7 ns, then none: the resolution is the smallest.
+    assert probe_resolution(ScriptedClock([0, 5, 8, 15])).resolution_ns == 3
 
 
 def test_simulated_clock_quantizes_and_stays_monotonic():
