@@ -158,21 +158,6 @@ _RUN_CODES, _TRAIL_ZEROS, _LEAD_ZEROS, _WINDOW_TABLE, _JOIN_BITS = _byte_tables(
 _BYTE_BINS = 512 * np.arange(CHUNK_BLOCKS, dtype=np.intp)[:, None]
 _PAIR_BINS = _BYTE_BINS + 256
 
-# W(1) to W(7), one per row, times this matrix gives the runs of exact length
-# 1 to 5 and then those of 6 bits or more.
-_RUN_DIFFERENCES = np.array(
-    [
-        [1, 0, 0, 0, 0, 0],
-        [-2, 1, 0, 0, 0, 0],
-        [1, -2, 1, 0, 0, 0],
-        [0, 1, -2, 1, 0, 0],
-        [0, 0, 1, -2, 1, 0],
-        [0, 0, 0, 1, -2, 1],
-        [0, 0, 0, 0, 1, -1],
-    ],
-    dtype=np.float64,
-)
-
 _RUN_LO = np.array([lo for lo, _ in RUN_INTERVALS])
 _RUN_HI = np.array([hi for _, hi in RUN_INTERVALS])
 
@@ -235,7 +220,9 @@ def _test_blocks(data, first_index: int, continuous: list, scratch) -> list[Fips
     histogram = histogram.reshape(count, 512)
 
     windows = (histogram @ _WINDOW_TABLE).reshape(count, 2, _WINDOW_BITS)
-    runs = (windows @ _RUN_DIFFERENCES).astype(np.intp)
+    # Runs of L bits or more (L = 1-6), then of exactly L (L = 1-5) and of 6 or more.
+    at_least = (windows[..., :-1] - windows[..., 1:]).astype(np.intp)
+    runs = np.concatenate((at_least[..., :-1] - at_least[..., 1:], at_least[..., -1:]), axis=-1)
     runs_pass = ((_RUN_LO <= runs) & (runs <= _RUN_HI)).all(axis=(1, 2))
     ones = windows[:, 1, 0].astype(np.intp)
 

@@ -1,4 +1,4 @@
-"""Check that Tier-1 kills each loosening mutant of a gate comparison.
+"""Check that Tier-1 kills each mutant that loosens a gate, a check or a safe write.
 
     python tests/mutants.py
 
@@ -23,13 +23,23 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 BUDGET_CHECK = "if elapsed + PROBE_RUNS_PER_SCALE * projected_ns(candidate) > budget_ns:"
+SEED_BUDGET_CHECK = "if elapsed + projected_ns(config) > args.budget_ms * 1_000_000:"
+BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_cleanly"
+
+
+def floor_one_below(text: str, node: str) -> tuple:
+    """The mutant that moves the _int_at_least floor in cli.py's text down by one."""
+    floor = text.partition("_int_at_least(")[2].partition(")")[0]
+    lowered = text.replace(f"_int_at_least({floor})", f"_int_at_least({floor} - 1)")
+    return ("cli.py", text, lowered, node)
+
 
 # (module, text, replacement, test node that kills it)
 MUTANTS = (
     (
         "cli.py",
-        "if elapsed + projected_ns(config) > args.budget_ms * 1_000_000:",
-        "if projected_ns(config) > args.budget_ms * 1_000_000:",
+        SEED_BUDGET_CHECK,
+        SEED_BUDGET_CHECK.replace("elapsed + ", ""),
         "tests/test_cli.py::test_seed_counts_the_time_already_spent_against_the_budget",
     ),
     (
@@ -74,6 +84,132 @@ MUTANTS = (
         "(_RUN_LO - 1 <= runs)",
         "tests/test_fips.py::test_run_count_bounds_are_inclusive",
     ),
+    (
+        "fips.py",
+        "at_least[..., :-1] - at_least[..., 1:]",
+        "at_least[..., :-1]",
+        "tests/test_fips.py::test_run_count_bounds_are_inclusive",
+    ),
+    (
+        "fips.py",
+        "MONOBIT_LO < block_ones < MONOBIT_HI",
+        "MONOBIT_LO <= block_ones <= MONOBIT_HI",
+        "tests/test_fips.py::test_monobit_strict_bounds",
+    ),
+    (
+        "fips.py",
+        "max_run < LONG_RUN_BITS",
+        "max_run <= LONG_RUN_BITS",
+        "tests/test_fips.py::test_long_run_boundary",
+    ),
+    (
+        "fips.py",
+        "if tested < (blocks or 1):",
+        "if tested < (blocks or 1) - 1:",
+        "tests/test_fips.py::test_empty_source_is_short_stream",
+    ),
+    (
+        "conditioner.py",
+        "if observed < quality_floor:",
+        "if observed < quality_floor - 1:",
+        "tests/test_conditioner.py::test_fail_closed_below_floor",
+    ),
+    (
+        "conditioner.py",
+        "if quality_floor < 0:",
+        "if quality_floor < -1:",
+        "tests/test_conditioner.py::test_negative_floor_rejected",
+    ),
+    (
+        "collector.py",
+        "if not clock.monotonic or not timer_spec.monotonic:",
+        "if not timer_spec.monotonic:",
+        "tests/test_collector.py::test_collect_trace_rejects_non_monotonic_clock",
+    ),
+    (
+        "autotune.py",
+        "if floor < 2:",
+        "if floor < 1:",
+        "tests/test_autotune.py::test_validation_rejects_bad_arguments",
+    ),
+    (
+        "autotune.py",
+        "if budget_ns <= 0:",
+        "if budget_ns < 0:",
+        "tests/test_autotune.py::test_validation_rejects_bad_arguments",
+    ),
+    (
+        "autotune.py",
+        "if achieved >= floor:",
+        "if achieved > floor:",
+        "tests/test_autotune.py::test_scripted_adequate_base_scale_untouched",
+    ),
+    (
+        "cli.py",
+        SEED_BUDGET_CHECK,
+        SEED_BUDGET_CHECK.replace("args.budget_ms", "2 * args.budget_ms"),
+        "tests/test_cli.py::test_seed_tune_checks_its_own_collection_against_the_budget",
+    ),
+    (
+        "cli.py",
+        "if result.verdict is TuneVerdict.UNATTAINABLE:",
+        "if False:",
+        "tests/test_cli.py::test_seed_tune_unattainable_fails_closed",
+    ),
+    (
+        "cli.py",
+        "if stream is None:",
+        "if False:",
+        "tests/test_cli.py::test_closed_standard_stream_fails_with_one_line",
+    ),
+    (
+        "cli.py",
+        "if not stat.S_ISREG(os.stat(path).st_mode):",
+        "if False:",
+        "tests/test_cli.py::test_out_refuses_a_target_that_is_not_a_regular_file",
+    ),
+    (
+        "cli.py",
+        "0o600",
+        "0o644",
+        "tests/test_cli.py::test_seed_file_is_private",
+    ),
+    (
+        "cli.py",
+        "os.fsync(sink.fileno())",
+        "sink.flush()",
+        "tests/test_cli.py::test_out_fsyncs_the_file_and_then_its_directory",
+    ),
+    (
+        "cli.py",
+        "os.fsync(dir_fd)",
+        "pass",
+        "tests/test_cli.py::test_out_fsyncs_the_file_and_then_its_directory",
+    ),
+    (
+        "cli.py",
+        "os.unlink(temp)",
+        "pass",
+        "tests/test_cli.py::test_write_error_leaves_no_file",
+    ),
+    (
+        "cli.py",
+        "if value < minimum:",
+        "if value < minimum - 1:",
+        f"{BAD_INPUT}[argv0-2]",
+    ),
+    floor_one_below('"--scale",\n        type=_int_at_least(1),', f"{BAD_INPUT}[argv27-2]"),
+    floor_one_below('"--samples",\n        type=_int_at_least(1),', f"{BAD_INPUT}[argv22-2]"),
+    floor_one_below('"--stretch",\n        type=_int_at_least(0),', f"{BAD_INPUT}[argv23-2]"),
+    floor_one_below("type=_int_at_least(DEFAULT_QUALITY_FLOOR),", f"{BAD_INPUT}[argv21-2]"),
+    floor_one_below('"--budget-ms",\n        type=_int_at_least(1),', f"{BAD_INPUT}[argv10-2]"),
+    floor_one_below(
+        '"--simulate-quantum-ns", type=_int_at_least(1)',
+        "tests/test_cli.py::test_simulated_quantum_below_one_is_a_usage_error",
+    ),
+    floor_one_below('"--runs", type=_int_at_least(1)', f"{BAD_INPUT}[argv11-2]"),
+    floor_one_below('"--blocks",\n        type=_int_at_least(1),', f"{BAD_INPUT}[argv1-2]"),
+    floor_one_below('"--count", type=_int_at_least(1)', f"{BAD_INPUT}[argv0-2]"),
 )
 
 

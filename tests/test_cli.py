@@ -702,6 +702,21 @@ def test_bad_input_exits_cleanly(tmp_path, argv, code):
     assert not out.exists() and not missing.exists()
 
 
+def test_simulated_quantum_below_one_is_a_usage_error(tmp_path):
+    # A quantum of 0 would reach SimulatedClock, whose ValueError is a traceback.
+    out = tmp_path / "out.bin"
+    argv = ["seed", "--simulate-quantum-ns", "0", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "jitterseed", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: jitterseed seed ")
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["jitterseed seed: error: argument --simulate-quantum-ns: must be >= 1, got 0"]
+    assert not out.exists()
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="sh redirections")
 @pytest.mark.parametrize(
     "argv, closed, code",
@@ -892,6 +907,11 @@ def test_fips_without_numpy_is_one_error_line(tmp_path):
     proc = run_without_numpy(["mk0", "--count", "10"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == mk0_stream(10)
+    for argv in (["probe"], ["analyze", "--runs", "2"], ["tune"]):
+        proc = run_without_numpy(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert isinstance(json.loads(proc.stdout), dict)
 
 
 def test_console_entry_point_freezes_the_collector_before_exit():
