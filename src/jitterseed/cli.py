@@ -268,7 +268,10 @@ def cmd_fips(args) -> int:
         # Any other missing module is a fault of the package, not of the host.
         if str(exc.name).partition(".")[0] != "numpy":
             raise
-        raise SeederError(f"the battery needs numpy, which cannot be imported: {exc}") from None
+        raise SeederError(
+            f"the battery needs numpy, which cannot be imported: {exc} "
+            "(pip install 'jitterseed[battery]')"
+        ) from None
 
     # Checked first, so that the CSV replaces nothing when the summary has
     # nowhere to go.

@@ -6,7 +6,7 @@ Each mutant replaces one exact piece of text in one module of a fresh copy of
 src/jitterseed, and the test named beside it must then fail. Those tests must
 first pass on an unmutated copy. Text that is not found exactly once fails the
 script, so that a mutant cannot go stale unnoticed. The exit status is 1 when
-a mutant survives or a run cannot be judged.
+a mutant survives, a run cannot be judged or a run times out.
 
 Left out as equivalent: poker's `<` to `<=` at both ends. d is a sum of
 sixteen squared counts that add up to 5000; a square has the parity of its
@@ -25,6 +25,8 @@ REPO = Path(__file__).resolve().parent.parent
 BUDGET_CHECK = "if elapsed + PROBE_RUNS_PER_SCALE * projected_ns(candidate) > budget_ns:"
 SEED_BUDGET_CHECK = "if elapsed + projected_ns(config) > args.budget_ms * 1_000_000:"
 BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_cleanly"
+# A run that takes longer, say a mutant that spins, counts as a failure.
+TIMEOUT_S = 600
 
 
 def floor_one_below(text: str, node: str) -> tuple:
@@ -210,11 +212,36 @@ MUTANTS = (
     floor_one_below('"--runs", type=_int_at_least(1)', f"{BAD_INPUT}[argv11-2]"),
     floor_one_below('"--blocks",\n        type=_int_at_least(1),', f"{BAD_INPUT}[argv1-2]"),
     floor_one_below('"--count", type=_int_at_least(1)', f"{BAD_INPUT}[argv0-2]"),
+    (
+        "cli.py",
+        '"numpy":\n            raise',
+        '"numpy":\n            pass',
+        "tests/test_cli.py::test_fips_lets_a_missing_module_other_than_numpy_through",
+    ),
+    (
+        "analysis.py",
+        'if k < 1:\n        raise ValueError(f"k must be >= 1, got {k}")\n    if not histogram:',
+        "if k < 1:\n        pass\n    if not histogram:",
+        "tests/test_analysis.py::test_aggregate_negative_k_is_refused_not_sliced_from_the_end",
+    ),
+    (
+        "analysis.py",
+        'raise ValueError(f"n_top must be >= 1, got {n_top}")',
+        "pass",
+        "tests/test_analysis.py::test_entropy_validation_names_n_top",
+    ),
+    (
+        "timer.py",
+        "raise StuckClockError(",
+        "StuckClockError(",
+        "tests/test_timer.py::test_probe_gives_up_on_a_stuck_clock_once_its_deadline_passes",
+    ),
 )
 
 
-def run_tests(src: Path, nodes) -> int:
-    """Pytest's exit status for nodes, with the package imported from src."""
+def run_tests(src: Path, nodes) -> int | None:
+    """Pytest's exit status for nodes, with the package imported from src, or
+    None when the run takes longer than TIMEOUT_S."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
     where = subprocess.run(
@@ -224,7 +251,16 @@ def run_tests(src: Path, nodes) -> int:
     if not Path(where.strip()).is_relative_to(src):
         sys.exit(f"the tests would import jitterseed from {where.strip()}, not from {src}")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes]
-    return subprocess.run(command, cwd=REPO, env=env, capture_output=True, timeout=600).returncode
+    try:
+        run = subprocess.run(command, cwd=REPO, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return run.returncode
+
+
+def verdict_of(status: int | None) -> str:
+    # Pytest exits 1 when a test failed, and otherwise for anything else.
+    return {0: "SURVIVED", 1: "killed", None: "timeout"}.get(status, f"pytest exit {status}")
 
 
 def main() -> int:
@@ -234,7 +270,7 @@ def main() -> int:
         shutil.copytree(REPO / "src" / "jitterseed", src / "jitterseed")
         status = run_tests(src, sorted({node for *_, node in MUTANTS}))
         if status != 0:
-            sys.exit(f"the killing tests fail on the unmutated source (pytest exit {status})")
+            sys.exit(f"the killing tests fail on the unmutated source ({verdict_of(status)})")
         for module, text, replacement, node in MUTANTS:
             path = src / "jitterseed" / module
             original = path.read_text()
@@ -245,10 +281,8 @@ def main() -> int:
                 status = run_tests(src, [node])
             finally:
                 path.write_text(original)
-            # Pytest exits 1 when a test failed, and otherwise for anything else.
-            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest exit {status}")
             failures += status != 1
-            print(f"{verdict:<9} {module}: {text!r} -> {replacement!r}  [{node}]")
+            print(f"{verdict_of(status):<9} {module}: {text!r} -> {replacement!r}  [{node}]")
     return 1 if failures else 0
 
 

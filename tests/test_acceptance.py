@@ -13,8 +13,6 @@ from pathlib import Path
 
 import reference_sha256
 from helpers import make_trace, read_histogram_csv
-from golden_blocks import golden_corpus
-from reference_fips import rngtest_verdicts
 from jitterseed.analysis import (
     SEED_STANDARD_BITS,
     aggregate_distribution,
@@ -30,13 +28,6 @@ from jitterseed.autotune import TuneVerdict, tune
 from jitterseed.cli import run_cli
 from jitterseed.collector import CollectorConfig, collect_trace, distinct_count
 from jitterseed.conditioner import condition, mk0_stream, serialize_trace
-from jitterseed.fips import (
-    BLOCK_BYTES,
-    BLOCK_CSV_HEADER,
-    block_csv_row,
-    fips_block_tests,
-    fips_pass_rate,
-)
 from jitterseed.timer import SimulatedClock, default_clock, probe_resolution
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -53,6 +44,8 @@ def check(number: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_reference_stream_pass_rate():
+    from jitterseed.fips import fips_pass_rate
+
     started = time.perf_counter()
     stream = mk0_stream(400000)
     report = fips_pass_rate(stream, blocks=5000)
@@ -62,6 +55,10 @@ def test_criterion_1_reference_stream_pass_rate():
 
 
 def test_criterion_2_per_block_verdicts_match_external_tool():
+    from golden_blocks import golden_corpus
+    from jitterseed.fips import BLOCK_CSV_HEADER, block_csv_row, fips_block_tests
+    from reference_fips import rngtest_verdicts
+
     corpus = golden_corpus()
     header, *rows = (DATA_DIR / "fips_golden.csv").read_text().splitlines()
     assert header == BLOCK_CSV_HEADER
@@ -92,6 +89,8 @@ def test_criterion_2_per_block_verdicts_match_external_tool():
 
 
 def test_criterion_3_seed_material_passes_battery():
+    from jitterseed.fips import BLOCK_BYTES, fips_pass_rate
+
     started = time.perf_counter()
     # 390626 digests: just over the 5000 blocks the battery needs.
     trace = collect_trace(CollectorConfig(stretch=390625))

@@ -66,6 +66,12 @@ def test_aggregate_k_must_be_positive():
         aggregate_distribution([[1]], k=0)
 
 
+def test_aggregate_negative_k_is_refused_not_sliced_from_the_end():
+    # Slicing the ranking by k=-1 would drop its last value instead.
+    with pytest.raises(ValueError, match="^k must be >= 1, got -1$"):
+        aggregate_distribution([[1, 2, 3]], k=-1)
+
+
 def test_top_k_tie_break_ascending_value():
     report = aggregate_distribution([[9, 3, 7, 3]], k=3)
     assert report.top_k == [(3, 2), (7, 1), (9, 1)]
@@ -180,6 +186,12 @@ def test_entropy_validation():
         estimate_worst_case_entropy(0, 100)
     with pytest.raises(ValueError):
         estimate_worst_case_entropy(20, 0)
+
+
+def test_entropy_validation_names_n_top():
+    # log2(0) raises too, but as "math domain error", which names no argument.
+    with pytest.raises(ValueError, match="^n_top must be >= 1, got 0$"):
+        estimate_worst_case_entropy(0, 100)
 
 
 @settings(max_examples=100, deadline=None)

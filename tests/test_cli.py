@@ -901,6 +901,7 @@ def test_fips_without_numpy_is_one_error_line(tmp_path):
     stderr = proc.stderr.decode()
     assert len(stderr.splitlines()) == 1, stderr
     assert stderr.startswith("error:") and "numpy" in stderr and "Traceback" not in stderr
+    assert "pip install 'jitterseed[battery]'" in stderr
     proc = run_without_numpy(["seed", "--out", str(tmp_path / "seed.bin")])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "seed.bin").stat().st_size == SEED_BYTES
@@ -912,6 +913,24 @@ def test_fips_without_numpy_is_one_error_line(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert b"Traceback" not in proc.stderr
         assert isinstance(json.loads(proc.stdout), dict)
+
+
+def test_fips_lets_a_missing_module_other_than_numpy_through(tmp_path, monkeypatch):
+    # A dependency of the battery other than numpy that cannot be found is a
+    # fault of the package: it must not be reported as the missing battery.
+    class MissingDependency:
+        def find_spec(self, name, path=None, target=None):
+            if name == "jitterseed.fips":
+                raise ModuleNotFoundError("No module named 'somedep'", name="somedep")
+            return None
+
+    (tmp_path / "in.bin").write_bytes(mk0_stream(100))
+    monkeypatch.delitem(sys.modules, "jitterseed.fips", raising=False)
+    monkeypatch.delattr(jitterseed, "fips", raising=False)
+    monkeypatch.setattr(sys, "meta_path", [MissingDependency(), *sys.meta_path])
+    with pytest.raises(ModuleNotFoundError) as excinfo:
+        run_cli(["fips", str(tmp_path / "in.bin")])
+    assert excinfo.value.name == "somedep"
 
 
 def test_console_entry_point_freezes_the_collector_before_exit():

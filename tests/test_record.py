@@ -8,6 +8,7 @@ import pathlib
 
 import pytest
 
+import jitterseed
 from helpers import SteppingClock
 from jitterseed import cli
 from jitterseed.analysis import (
@@ -21,7 +22,6 @@ from jitterseed.autotune import TuneResult, TuneVerdict
 from jitterseed.cli import run_cli
 from jitterseed.collector import CollectorConfig, TimingTrace
 from jitterseed.conditioner import SeedOutput
-from jitterseed.fips import FipsBlockResult, FipsRateReport
 from jitterseed.timer import TimerSpec
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -30,19 +30,20 @@ TIMER = TimerSpec(name="t", resolution_ns=1, monotonic=True)
 TIMER_REPR = "TimerSpec(name='t', resolution_ns=1, monotonic=True)"
 CONFIG_REPR = "CollectorConfig(samples=100, scale=250, stretch=100)"
 
-# Each record with the keyword arguments of one instance, in field order, and
-# that instance's exact repr.
+# Each record's public name with the keyword arguments of one instance, in
+# field order, and that instance's exact repr. The `cls` fixture resolves the
+# name, so that a battery record loads numpy only in its own tests.
 RECORDS = [
-    (TimerSpec, {"name": "t", "resolution_ns": 1, "monotonic": True}, TIMER_REPR),
-    (CollectorConfig, {"samples": 100, "scale": 250, "stretch": 100}, CONFIG_REPR),
+    ("TimerSpec", {"name": "t", "resolution_ns": 1, "monotonic": True}, TIMER_REPR),
+    ("CollectorConfig", {"samples": 100, "scale": 250, "stretch": 100}, CONFIG_REPR),
     (
-        TimingTrace,
+        "TimingTrace",
         {"samples": (5, 6, 7), "config": CollectorConfig(), "timer": TIMER},
         f"TimingTrace(config={CONFIG_REPR}, timer={TIMER_REPR})",
     ),
-    (SeedOutput, {"material": b"\x01" * 32}, "SeedOutput()"),
+    ("SeedOutput", {"material": b"\x01" * 32}, "SeedOutput()"),
     (
-        TuneResult,
+        "TuneResult",
         {
             "config": CollectorConfig(),
             "probe_runs": 3,
@@ -54,7 +55,7 @@ RECORDS = [
         "elapsed_ns=1000, verdict=<TuneVerdict.TUNED: 'tuned'>)",
     ),
     (
-        DistributionReport,
+        "DistributionReport",
         {
             "histogram": {1: 2, 3: 1},
             "total_samples": 3,
@@ -67,12 +68,12 @@ RECORDS = [
         "top_k=[(1, 2), (3, 1)], flatness_ratio=2.0, runs=1)",
     ),
     (
-        EntropyEstimate,
+        "EntropyEstimate",
         {"n_top": 2, "samples": 3, "bits": 3.0, "key_space_log10": 0.5},
         "EntropyEstimate(n_top=2, samples=3, bits=3.0, key_space_log10=0.5)",
     ),
     (
-        FipsBlockResult,
+        "FipsBlockResult",
         {
             "block_index": 4,
             "ones": 10000,
@@ -91,15 +92,20 @@ RECORDS = [
         "max_run=13, long_run_pass=True, continuous_pass=None)",
     ),
     (
-        FipsRateReport,
+        "FipsRateReport",
         {"blocks_tested": 2, "blocks_passed": 1, "failures": {"runs": 1}},
         "FipsRateReport(blocks_tested=2, blocks_passed=1, failures={'runs': 1})",
     ),
 ]
 
 records = pytest.mark.parametrize(
-    "cls, kwargs, expected_repr", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+    "cls, kwargs, expected_repr", RECORDS, ids=[name for name, _, _ in RECORDS], indirect=["cls"]
 )
+
+
+@pytest.fixture
+def cls(request):
+    return getattr(jitterseed, request.param)
 
 
 @records
@@ -180,6 +186,8 @@ def test_replace_validates_as_construction_does():
 def test_defaults_are_class_attributes():
     assert CollectorConfig.samples == 100 and CollectorConfig.scale == 250
     assert CollectorConfig.stretch == 100
+    from jitterseed.fips import FipsBlockResult
+
     assert FipsBlockResult.continuous_pass is None
 
 

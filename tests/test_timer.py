@@ -1,4 +1,6 @@
+import itertools
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,29 @@ def test_probe_frozen_clock_raises_stuck(monkeypatch):
     monkeypatch.setattr(timer, "ADVANCE_TIMEOUT_S", 0.05)
     with pytest.raises(StuckClockError):
         probe_resolution(FrozenClock())
+
+
+class ReadLimitedFrozenClock(FrozenClock):
+    """A frozen clock that fails the test once read more than `reads` times."""
+
+    def __init__(self, reads):
+        super().__init__()
+        self.reads_left = reads
+
+    def now_ticks(self):
+        assert self.reads_left > 0, "the probe kept reading a stuck clock"
+        self.reads_left -= 1
+        return super().now_ticks()
+
+
+def test_probe_gives_up_on_a_stuck_clock_once_its_deadline_passes(monkeypatch):
+    # Host time jumps a whole timeout per reading, so the deadline has passed
+    # after the first round; a probe that went on reading would fail on the
+    # clock's read limit at once instead of spinning.
+    instants = itertools.count(0.0, timer.ADVANCE_TIMEOUT_S)
+    monkeypatch.setattr(timer, "time", types.SimpleNamespace(monotonic=lambda: next(instants)))
+    with pytest.raises(StuckClockError):
+        probe_resolution(ReadLimitedFrozenClock(2 * timer.PROBE_READS + 1))
 
 
 class CountingClock:
