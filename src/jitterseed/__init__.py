@@ -24,6 +24,7 @@ _NAMES = {
         "top_k_overlap",
     ),
     "autotune": ("TuneResult", "TuneVerdict", "tune"),
+    "cli": ("SeedRun", "seed_run"),
     "collector": ("CollectorConfig", "TimingTrace", "collect_trace", "distinct_count", "kernel"),
     "conditioner": ("SeedOutput", "condition", "mk0_stream", "serialize_trace"),
     "errors": (

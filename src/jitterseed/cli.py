@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 operational failure (insufficient entropy, stuck
-clock, unattainable tuning, a collection over budget, short stream, file I/O,
+clock, unattainable tuning, a seed run over budget, short stream, file I/O,
 out of memory), 2 usage error, including out-of-range option values. Seed
 bytes go to the chosen sink and nothing else ever shares it: when seeding to
 stdout, all summaries and diagnostics go to stderr.
@@ -20,9 +20,17 @@ import time
 
 # analysis and autotune are imported inside the commands that use them, so a
 # seed, mk0 or fips process never loads them.
-from .collector import DEFAULT_BUDGET_NS, CollectorConfig, collect_trace, distinct_count, projected_ns
-from .conditioner import DEFAULT_QUALITY_FLOOR, condition, mk0_stream
+from .collector import DEFAULT_BUDGET_NS, CollectorConfig, collect_trace, projected_ns
+from .conditioner import (
+    DEFAULT_QUALITY_FLOOR,
+    SeedOutput,
+    condition,
+    mk0_stream,
+    projected_chain_ns,
+    require_floor,
+)
 from .errors import InsufficientEntropyError, SeederError, ShortStreamError
+from .record import Record
 from .timer import SimulatedClock, default_clock, probe_resolution
 
 # The capacity mk0 gives a pipe it writes to. At the default 64 KiB, mk0 and
@@ -33,6 +41,9 @@ from .timer import SimulatedClock, default_clock, probe_resolution
 # in 13 and 12 of 14), and 16 MiB took 656.1, 615.0 and 730.6 ms to 581.7,
 # 548.9 and 686.0 ms (13 of 14, 10 of 10 and 11 of 14).
 MK0_PIPE_BYTES = 1 << 20
+
+# seed --hex encodes this many bytes at a time: the text never exists whole.
+HEX_PIECE_BYTES = 1 << 16
 
 
 def _int_at_least(minimum: int):
@@ -70,27 +81,84 @@ def _add_floor_budget(parser: argparse.ArgumentParser) -> None:
         "--budget-ms",
         type=_int_at_least(1),
         default=DEFAULT_BUDGET_NS // 1_000_000,
-        help="time budget for probing, tuning and collecting",
+        help="time budget for the whole run",
     )
 
 
-def _tune(args, base: CollectorConfig, clock, timer_spec=None):
-    """Tune base within the command's floor and budget; an autotune.TuneResult."""
-    from .autotune import tune
-
-    return tune(base, clock, timer_spec, floor=args.floor, budget_ns=args.budget_ms * 1_000_000)
+def _ms(ns: int) -> str:
+    """ns in milliseconds, written as an integer when it is one."""
+    return str(ns // 1_000_000) if ns % 1_000_000 == 0 else str(ns / 1_000_000)
 
 
-def _tuned_config(args, result) -> CollectorConfig:
-    """The tuned config; a floor the tuner could not reach fails the run."""
+def _tuned_config(result, floor: int, budget_ns: int) -> CollectorConfig:
+    """The tuned config of an autotune.TuneResult; a floor the tuner could not
+    reach fails the run."""
     from .autotune import TuneVerdict
 
     if result.verdict is TuneVerdict.UNATTAINABLE:
         raise InsufficientEntropyError(
-            f"tuning unattainable within {args.budget_ms} ms "
-            f"(best median distinct {result.achieved_distinct}, floor {args.floor})"
+            f"tuning unattainable within {_ms(budget_ns)} ms "
+            f"(best median distinct {result.achieved_distinct}, floor {floor})"
         )
     return result.config
+
+
+# seed_run lives in this module because it calls this module's
+# probe_resolution, collect_trace, condition, projected_ns and time, names
+# that perfbench/cli_driver.py wraps and tests substitute.
+class SeedRun(Record):
+    """What seed_run made: the config it collected with (the tuned one, if it
+    tuned), the trace's distinct-delta count and the seed. The trace itself is
+    not kept, since anyone holding it can recompute the seed."""
+
+    config: CollectorConfig
+    distinct: int
+    seed: SeedOutput
+
+
+def seed_run(
+    config: CollectorConfig,
+    clock=None,
+    *,
+    floor: int = DEFAULT_QUALITY_FLOOR,
+    budget_ns: int = DEFAULT_BUDGET_NS,
+    tune: bool = False,
+) -> SeedRun:
+    """Make one seed: probe the clock, with tune double config's scale until
+    the trace clears floor, collect a trace and condition it.
+
+    The budget covers the whole run. After the probe and any tuning, the time
+    spent, the projected collection (collector.projected_ns) and the projected
+    digest chain (conditioner.projected_chain_ns) must fit in budget_ns, or
+    InsufficientEntropyError is raised before the first timed kernel run. A
+    trace below floor raises it too, before the trace is hashed. floor may
+    raise the gate above DEFAULT_QUALITY_FLOOR, never lower it: a lower floor,
+    or a budget_ns below 1, raises ValueError. The clock defaults to
+    default_clock(). The process's core-dump policy is the caller's.
+    """
+    if floor < DEFAULT_QUALITY_FLOOR:
+        raise ValueError(f"floor must be >= {DEFAULT_QUALITY_FLOOR}, got {floor}")
+    if budget_ns < 1:
+        raise ValueError(f"budget_ns must be >= 1, got {budget_ns}")
+    if clock is None:
+        clock = default_clock()
+    started = time.perf_counter_ns()
+    timer_spec = probe_resolution(clock)
+    if tune:
+        from . import autotune
+
+        result = autotune.tune(config, clock, timer_spec, floor=floor, budget_ns=budget_ns)
+        config = _tuned_config(result, floor, budget_ns)
+    elapsed = time.perf_counter_ns() - started
+    if elapsed + projected_ns(config) + projected_chain_ns(config) > budget_ns:
+        raise InsufficientEntropyError(
+            f"collecting {config.samples} samples at scale={config.scale} "
+            f"and {config.stretch} chain links would exceed {_ms(budget_ns)} ms"
+        )
+
+    trace = collect_trace(config, clock, timer_spec)
+    distinct = require_floor(trace, floor)
+    return SeedRun(config=config, distinct=distinct, seed=condition(trace, quality_floor=floor))
 
 
 def _std_stream(name: str):
@@ -175,33 +243,32 @@ def _output(path):
 
 
 def cmd_seed(args) -> int:
-    quantum_ns = args.simulate_quantum_ns
-    clock = default_clock() if quantum_ns is None else SimulatedClock(quantum_ns)
-    # The budget covers the probe, any tuning and the seed's own collection.
-    started = time.perf_counter_ns()
-    timer_spec = probe_resolution(clock)
+    """Make a seed with seed_run and write it. The core-file limit drops to 0
+    first, so that no core file can hold the trace or the seed; a process that
+    calls run_cli in-process, such as pytest, keeps that limit for life."""
+    with contextlib.suppress(ImportError):
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
     config = CollectorConfig(samples=args.samples, scale=args.scale, stretch=args.stretch)
+    clock = None if args.simulate_quantum_ns is None else SimulatedClock(args.simulate_quantum_ns)
+    budget_ns = args.budget_ms * 1_000_000
+    run = seed_run(config, clock, floor=args.floor, budget_ns=budget_ns, tune=args.tune)
 
-    if args.tune:
-        config = _tuned_config(args, _tune(args, config, clock, timer_spec))
-    elapsed = time.perf_counter_ns() - started
-    if elapsed + projected_ns(config) > args.budget_ms * 1_000_000:
-        raise InsufficientEntropyError(
-            f"collecting {config.samples} samples at scale={config.scale} "
-            f"would exceed {args.budget_ms} ms"
-        )
-
-    trace = collect_trace(config, clock, timer_spec)
-    seed = condition(trace, quality_floor=args.floor)
-
-    material = seed.to_bytes()
-    payload = material.hex().encode() + b"\n" if args.hex else material
+    material = run.seed.to_bytes()
     with _output(args.out) as sink:
-        _write_all(sink, payload)
+        if not args.hex:
+            _write_all(sink, material)
+        else:
+            view = memoryview(material)
+            for start in range(0, len(view), HEX_PIECE_BYTES):
+                _write_all(sink, view[start : start + HEX_PIECE_BYTES].hex().encode())
+            _write_all(sink, b"\n")
 
+    config = run.config
     note = f" after tuning to scale={config.scale}" if args.tune else ""
     _note(
-        f"seed: {len(material)} bytes from {distinct_count(trace)} distinct "
+        f"seed: {len(material)} bytes from {run.distinct} distinct "
         f"deltas (samples={config.samples} scale={config.scale} "
         f"stretch={config.stretch}){note}"
     )
@@ -210,12 +277,14 @@ def cmd_seed(args) -> int:
 
 def cmd_tune(args) -> int:
     from .analysis import write_json_report
+    from .autotune import tune
 
     stdout = _std_stream("stdout")
-    result = _tune(args, CollectorConfig(), default_clock())
+    budget_ns = args.budget_ms * 1_000_000
+    result = tune(CollectorConfig(), default_clock(), floor=args.floor, budget_ns=budget_ns)
     # The report is written whatever the verdict, then an unattainable one fails.
     write_json_report(result._asdict(), stdout)
-    _tuned_config(args, result)
+    _tuned_config(result, args.floor, budget_ns)
     return 0
 
 

@@ -22,7 +22,7 @@ VAL2 = 576722363
 # Collection is timing-sensitive; serialize it within the process.
 _collection_lock = threading.Lock()
 
-# Time a collection may take, tuning included.
+# Time a seed run may take: probe, tuning, collection and digest chain.
 DEFAULT_BUDGET_NS = 5_000_000_000
 
 

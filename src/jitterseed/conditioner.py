@@ -9,9 +9,10 @@ distinct-value floor, no seed bytes exist at all.
 from __future__ import annotations
 
 import io
+import time
 from collections.abc import Sequence
 
-from .collector import TimingTrace, distinct_count
+from .collector import CollectorConfig, TimingTrace, distinct_count
 from .errors import InsufficientEntropyError
 from .record import Record
 
@@ -24,6 +25,12 @@ DIGEST_BYTES = 32
 
 # mk0_stream hands its output on in chunks of this many digests (64 KiB).
 MK0_CHUNK_DIGESTS = 2048
+
+# projected_chain_ns times rounds of this many hashes of a link of at most
+# PRICED_LINK_BYTES (64 KiB). Timed one at a time, hashes of about 1 µs
+# priced a chain up to 80 % above what it took.
+PRICED_LINKS = 16
+PRICED_LINK_BYTES = 1 << 16
 
 
 class DigestChain(Sequence):
@@ -81,6 +88,17 @@ def serialize_trace(trace: TimingTrace) -> bytes:
         raise ValueError(f"trace delta {bad} does not fit in 8 unsigned bytes") from None
 
 
+def require_floor(trace: TimingTrace, quality_floor: int) -> int:
+    """distinct_count(trace), or InsufficientEntropyError when that is below
+    quality_floor."""
+    observed = distinct_count(trace)
+    if observed < quality_floor:
+        raise InsufficientEntropyError(
+            f"trace has {observed} distinct delta values, floor is {quality_floor}"
+        )
+    return observed
+
+
 def condition(
     trace: TimingTrace,
     quality_floor: int = DEFAULT_QUALITY_FLOOR,
@@ -94,11 +112,7 @@ def condition(
     """
     if quality_floor < 0:
         raise ValueError(f"quality_floor must be >= 0, got {quality_floor}")
-    observed = distinct_count(trace)
-    if observed < quality_floor:
-        raise InsufficientEntropyError(
-            f"trace has {observed} distinct delta values, floor is {quality_floor}"
-        )
+    require_floor(trace, quality_floor)
 
     from hashlib import sha256
 
@@ -119,6 +133,27 @@ def condition(
         material.write(digest)
 
     return SeedOutput(material=material.getvalue())
+
+
+def projected_chain_ns(config: CollectorConfig) -> int:
+    """Estimate the time of condition's digest chain for a trace collected
+    under config without building it: config.stretch times the per-link time
+    of the fastest of three rounds of PRICED_LINKS hashes of one link of
+    32 + 8 × samples bytes (one preempted round cannot inflate it). A link
+    past PRICED_LINK_BYTES is priced from a hash of that many bytes, scaled
+    up.
+    """
+    from hashlib import sha256
+
+    link_bytes = DIGEST_BYTES + 8 * config.samples
+    link = bytes(min(link_bytes, PRICED_LINK_BYTES))
+    per_round = []
+    for _ in range(3):
+        t0 = time.perf_counter_ns()
+        for _ in range(PRICED_LINKS):
+            sha256(link).digest()
+        per_round.append(time.perf_counter_ns() - t0)
+    return min(per_round) * config.stretch * link_bytes // (len(link) * PRICED_LINKS)
 
 
 def mk0_stream(count: int, write=None) -> bytes | None:

@@ -23,7 +23,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 BUDGET_CHECK = "if elapsed + PROBE_RUNS_PER_SCALE * projected_ns(candidate) > budget_ns:"
-SEED_BUDGET_CHECK = "if elapsed + projected_ns(config) > args.budget_ms * 1_000_000:"
+SEED_BUDGET_CHECK = "if elapsed + projected_ns(config) + projected_chain_ns(config) > budget_ns:"
 BAD_INPUT = "tests/test_cli.py::test_bad_input_exits_cleanly"
 # A run that takes longer, say a mutant that spins, counts as a failure.
 TIMEOUT_S = 600
@@ -149,8 +149,26 @@ MUTANTS = (
     (
         "cli.py",
         SEED_BUDGET_CHECK,
-        SEED_BUDGET_CHECK.replace("args.budget_ms", "2 * args.budget_ms"),
+        SEED_BUDGET_CHECK.replace("> budget_ns", "> 2 * budget_ns"),
         "tests/test_cli.py::test_seed_tune_checks_its_own_collection_against_the_budget",
+    ),
+    (
+        "cli.py",
+        SEED_BUDGET_CHECK,
+        SEED_BUDGET_CHECK.replace(" + projected_chain_ns(config)", ""),
+        "tests/test_cli.py::test_seed_budget_covers_the_digest_chain",
+    ),
+    (
+        "cli.py",
+        "if floor < DEFAULT_QUALITY_FLOOR:",
+        "if floor < DEFAULT_QUALITY_FLOOR - 1:",
+        "tests/test_errors.py::test_bad_argument_raises_value_error[seed_run(floor=19)]",
+    ),
+    (
+        "cli.py",
+        "resource.setrlimit(resource.RLIMIT_CORE, (0, 0))",
+        "pass",
+        "tests/test_cli.py::test_seed_process_cannot_dump_core",
     ),
     (
         "cli.py",

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import io
@@ -19,7 +20,9 @@ import jitterseed
 from jitterseed import autotune, cli
 from jitterseed.autotune import DEFAULT_BUDGET_NS
 from jitterseed.cli import run_cli
+from jitterseed.collector import CollectorConfig
 from jitterseed.conditioner import DEFAULT_QUALITY_FLOOR, MK0_CHUNK_DIGESTS, mk0_stream
+from jitterseed.errors import InsufficientEntropyError
 from jitterseed.timer import SimulatedClock
 
 SEED_BYTES = 32 * 101  # default stretch 100 -> 101 digests
@@ -311,6 +314,57 @@ def test_seed_counts_the_time_already_spent_against_the_budget(tmp_path, monkeyp
     assert out.read_bytes() == b"old"
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and "would exceed 1000 ms" in line
+
+
+def test_seed_budget_covers_the_digest_chain(tmp_path, capsys):
+    # Collecting takes milliseconds, but hashing 5000000 links takes seconds.
+    started = time.monotonic()
+    argv = ["seed", "--stretch", "5000000", "--budget-ms", "1000", "--out", str(tmp_path / "s")]
+    assert run_cli(argv) == 1
+    assert time.monotonic() - started < 1
+    assert os.listdir(tmp_path) == []
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "would exceed 1000 ms" in errors[0]
+
+
+def spy_on(monkeypatch, name) -> list:
+    """Record each call of the cli module's name, which still runs."""
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_seed_run_makes_a_seed_on_the_real_clock():
+    run = jitterseed.seed_run(CollectorConfig())
+    assert len(run.seed.to_bytes()) == SEED_BYTES
+    assert run.distinct >= DEFAULT_QUALITY_FLOOR
+    assert run.config == CollectorConfig()
+
+
+def test_seed_run_refuses_a_coarse_clock_before_conditioning(monkeypatch):
+    conditioned = spy_on(monkeypatch, "condition")
+    with pytest.raises(InsufficientEntropyError):
+        cli.seed_run(CollectorConfig(), SimulatedClock(16_000_000))
+    assert conditioned == []
+
+
+def test_seed_run_fails_when_tuning_is_unattainable():
+    with pytest.raises(InsufficientEntropyError, match="unattainable"):
+        cli.seed_run(CollectorConfig(), SimulatedClock(16_000_000), budget_ns=200_000_000, tune=True)
+
+
+def test_seed_run_refuses_a_projection_past_the_budget_before_collecting(monkeypatch):
+    collected = spy_on(monkeypatch, "collect_trace")
+    monkeypatch.setattr(cli, "projected_ns", lambda config: 1000 * 1_000_000 + 1)
+    with pytest.raises(InsufficientEntropyError, match="would exceed 1000 ms"):
+        cli.seed_run(CollectorConfig(), budget_ns=1000 * 1_000_000)
+    assert collected == []
 
 
 def test_tune_counts_the_time_already_spent_against_the_budget(monkeypatch, capsys):
@@ -678,8 +732,8 @@ def test_pipeline_mk0_into_fips(tmp_path, count, fips_args, summary, csv_sha256)
         (["probe", "extra"], 2),
         (["analyze", "--runs", "1", "--log", "{out}", "--csv", "{out}"], 2),
         (["seed", "--scale", "0", "--out", "{out}"], 2),
-        # Sizes past the platform's word size fail as running out of memory,
-        # or, for --samples, as a collection over the time budget.
+        # Sizes past the platform's word size fail as a run over the time
+        # budget (see test_out_of_memory_exits_one_with_one_line).
         (["seed", "--samples", "100000000000000000000", "--out", "{out}"], 1),
         (["seed", "--stretch", "1000000000000000000000", "--out", "{out}"], 1),
         # Collections projected past --budget-ms fail before collecting.
@@ -1134,6 +1188,47 @@ def test_mk0_streams_in_constant_memory():
     assert large - small <= 4 * 1024
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_seed_hex_holds_no_whole_copy_of_its_text():
+    # A 32 MB seed is 64 MB of hex text; held whole, as str and as bytes, it
+    # would show here.
+    text = _peak_rss_kb("seed", "--stretch", "1000000", "--hex")
+    binary = _peak_rss_kb("seed", "--stretch", "1000000")
+    assert text - binary <= 5 * 1024
+
+
+def _raise_core_limit():
+    import resource
+
+    # No more than the hard limit, which an earlier seed run in this process
+    # may already have lowered to 0.
+    _, hard = resource.getrlimit(resource.RLIMIT_CORE)
+    resource.setrlimit(resource.RLIMIT_CORE, (hard, hard))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/<pid>/limits")
+def test_seed_process_cannot_dump_core(tmp_path):
+    # A core file of a seed run holds its trace, from which anyone can
+    # recompute the seed. The run hashes for about a second, long enough to
+    # read its limits while it runs; no signal is sent, so no core is written.
+    argv = ["seed", "--stretch", "1000000", "--out", str(tmp_path / "seed.bin")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jitterseed", *argv],
+        stderr=subprocess.DEVNULL,
+        preexec_fn=_raise_core_limit,
+    )
+    core_limits = set()
+    while proc.poll() is None:
+        with contextlib.suppress(OSError), open(f"/proc/{proc.pid}/limits") as limits:
+            for line in limits:
+                if line.startswith("Max core file size"):
+                    core_limits.add(tuple(line.split()[4:6]))
+        time.sleep(0.01)
+    assert proc.returncode == 0
+    assert ("0", "0") in core_limits
+    assert os.listdir(tmp_path) == ["seed.bin"]
+
+
 # As PEAK_RSS_SCRIPT, but the reader reads nothing for a second, then all of
 # it; it prints the digest of what it read and the command's peak RSS.
 STALLED_READER_SCRIPT = """
@@ -1229,10 +1324,12 @@ def _limit_address_space():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS")
 def test_out_of_memory_exits_one_with_one_line(tmp_path):
-    # A 10^10-link chain needs 320 GB, far past a 2 GiB address space.
+    # A 10^10-link chain needs 320 GB, far past a 2 GiB address space; the
+    # budget is large enough for the run to reach that allocation.
     out = tmp_path / "seed.bin"
+    argv = ["seed", "--stretch", "10000000000", "--budget-ms", "100000000000", "--out", str(out)]
     proc = subprocess.run(
-        [sys.executable, "-m", "jitterseed", "seed", "--stretch", "10000000000", "--out", str(out)],
+        [sys.executable, "-m", "jitterseed", *argv],
         capture_output=True,
         text=True,
         timeout=120,

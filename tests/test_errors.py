@@ -14,6 +14,7 @@ from jitterseed.analysis import (
     top_k_overlap,
 )
 from jitterseed.autotune import tune
+from jitterseed.cli import seed_run
 from jitterseed.collector import VAL1, VAL2, CollectorConfig, kernel
 from jitterseed.conditioner import condition, mk0_stream, serialize_trace
 from jitterseed.timer import SimulatedClock
@@ -36,6 +37,8 @@ BAD_CALLS = {
     "mk0_stream(0)": lambda: mk0_stream(0),
     "tune(floor=1)": lambda: tune(CollectorConfig(), floor=1),
     "tune(budget_ns=0)": lambda: tune(CollectorConfig(), budget_ns=0),
+    "seed_run(floor=19)": lambda: seed_run(CollectorConfig(), floor=19),
+    "seed_run(budget_ns=0)": lambda: seed_run(CollectorConfig(), budget_ns=0),
     "aggregate_distribution([])": lambda: aggregate_distribution([]),
     "aggregate_distribution(k=0)": lambda: aggregate_distribution([[1, 2]], k=0),
     "merge_reports([])": lambda: merge_reports([]),

@@ -10,7 +10,7 @@ import pytest
 
 import jitterseed
 from helpers import SteppingClock
-from jitterseed import cli
+from jitterseed import autotune, cli
 from jitterseed.analysis import (
     DistributionReport,
     EntropyEstimate,
@@ -42,6 +42,11 @@ RECORDS = [
         f"TimingTrace(config={CONFIG_REPR}, timer={TIMER_REPR})",
     ),
     ("SeedOutput", {"material": b"\x01" * 32}, "SeedOutput()"),
+    (
+        "SeedRun",
+        {"config": CollectorConfig(), "distinct": 57, "seed": SeedOutput(material=b"\x01" * 32)},
+        f"SeedRun(config={CONFIG_REPR}, distinct=57, seed=SeedOutput())",
+    ),
     (
         "TuneResult",
         {
@@ -224,7 +229,7 @@ def test_tune_json_is_byte_exact(monkeypatch, capsys):
         elapsed_ns=123456789,
         verdict=TuneVerdict.TUNED,
     )
-    monkeypatch.setattr(cli, "_tune", lambda *args: result)
+    monkeypatch.setattr(autotune, "tune", lambda *args, **kwargs: result)
     assert run_cli(["tune"]) == 0
     assert capsys.readouterr().out == (
         '{\n  "config": {\n    "samples": 100,\n    "scale": 1000,\n    "stretch": 100\n  },\n'
