@@ -34,12 +34,12 @@ from .record import Record
 from .timer import SimulatedClock, default_clock, probe_resolution
 
 # The capacity mk0 gives a pipe it writes to. At the default 64 KiB, mk0 and
-# a slower reader such as fips take turns instead of running side by side.
-# Both neighbours were slower for `mk0 --count 400000 | fips - --continuous
-# --per-block` (median of alternating runs, 2 vCPU Xeon, Python 3.11.7):
-# 64 KiB took 588.5 and 708.7 ms to 1 MiB's 537.1 and 646.1 ms (1 MiB faster
-# in 13 and 12 of 14), and 16 MiB took 656.1, 615.0 and 730.6 ms to 581.7,
-# 548.9 and 686.0 ms (13 of 14, 10 of 10 and 11 of 14).
+# a slower reader such as fips take turns instead of running side by side:
+# for `mk0 --count 400000 | fips - --continuous --per-block` (median of
+# alternating runs, 2 vCPU Xeon, Python 3.11.7), 64 KiB took 588.5 and
+# 708.7 ms to 1 MiB's 537.1 and 646.1 ms (1 MiB faster in 13 and 12 of 14).
+# 1 MiB is Linux's default pipe-max-size, the most a writer without
+# CAP_SYS_RESOURCE may set: a larger size is refused with EPERM.
 MK0_PIPE_BYTES = 1 << 20
 
 # seed --hex encodes this many bytes at a time: the text never exists whole.
@@ -378,7 +378,8 @@ def _grow_pipe(sink) -> None:
     """Give the pipe that sink writes to at least MK0_PIPE_BYTES of capacity.
 
     Anything but a pipe, a platform without F_SETPIPE_SZ (it is Linux's, in
-    Python 3.10 and later) and a user over the pipe quota leave sink as it is.
+    Python 3.10 and later), a pipe-max-size below it and a user over the pipe
+    quota leave sink as it is.
     """
     with contextlib.suppress(ImportError, AttributeError, OSError):
         import fcntl

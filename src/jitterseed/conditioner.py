@@ -26,11 +26,11 @@ DIGEST_BYTES = 32
 # mk0_stream hands its output on in chunks of this many digests (64 KiB).
 MK0_CHUNK_DIGESTS = 2048
 
-# projected_chain_ns times rounds of this many hashes of a link of at most
-# PRICED_LINK_BYTES (64 KiB). Timed one at a time, hashes of about 1 µs
-# priced a chain up to 80 % above what it took.
-PRICED_LINKS = 16
-PRICED_LINK_BYTES = 1 << 16
+# Each of projected_chain_ns's timed rounds hashes about this many bytes of
+# chain links (64 KiB), and a longer link is priced from one of this size.
+# Timed one at a time, hashes of about 1 µs priced a chain up to 80 % above
+# what it took.
+PRICED_BYTES = 1 << 16
 
 
 class DigestChain(Sequence):
@@ -114,8 +114,6 @@ def condition(
         raise ValueError(f"quality_floor must be >= 0, got {quality_floor}")
     require_floor(trace, quality_floor)
 
-    from hashlib import sha256
-
     serialized = serialize_trace(trace)
     # Each link goes straight into one buffer; getvalue() hands that buffer
     # over without a copy. The buffer gets its final size before the first
@@ -126,34 +124,46 @@ def condition(
     material.seek(DIGEST_BYTES * (trace.config.stretch + 1) - 1)
     material.write(b"\0")
     material.seek(0)
-    digest = sha256(serialized).digest()
-    material.write(digest)
-    for _ in range(trace.config.stretch):
-        digest = sha256(digest + serialized).digest()
-        material.write(digest)
+    # digests[0] is the link after an empty digest.
+    _extend(b"", serialized, trace.config.stretch + 1, material.write)
 
     return SeedOutput(material=material.getvalue())
+
+
+def _extend(digest: bytes, serialized: bytes, links: int, write) -> bytes:
+    """Hash `links` chain links after digest, each H(previous digest ||
+    serialized), hand each link's digest to write and return the last one."""
+    from hashlib import sha256
+
+    for _ in range(links):
+        digest = sha256(digest + serialized).digest()
+        write(digest)
+    return digest
 
 
 def projected_chain_ns(config: CollectorConfig) -> int:
     """Estimate the time of condition's digest chain for a trace collected
     under config without building it: config.stretch times the per-link time
-    of the fastest of three rounds of PRICED_LINKS hashes of one link of
-    32 + 8 × samples bytes (one preempted round cannot inflate it). A link
-    past PRICED_LINK_BYTES is priced from a hash of that many bytes, scaled
-    up.
+    of the fastest of three rounds (one preempted round cannot inflate it).
+    Each round runs condition's chain step over about PRICED_BYTES of links
+    of 32 + 8 × samples bytes; a longer link is priced from one of
+    PRICED_BYTES, scaled up. A chain of no links is priced 0.
     """
-    from hashlib import sha256
-
+    if not config.stretch:
+        return 0
     link_bytes = DIGEST_BYTES + 8 * config.samples
-    link = bytes(min(link_bytes, PRICED_LINK_BYTES))
+    priced_bytes = min(link_bytes, PRICED_BYTES)
+    serialized = bytes(priced_bytes - DIGEST_BYTES)
+    links = PRICED_BYTES // priced_bytes
+    sink = io.BytesIO(bytes(DIGEST_BYTES * links))
+    digest = bytes(DIGEST_BYTES)
     per_round = []
     for _ in range(3):
+        sink.seek(0)
         t0 = time.perf_counter_ns()
-        for _ in range(PRICED_LINKS):
-            sha256(link).digest()
+        digest = _extend(digest, serialized, links, sink.write)
         per_round.append(time.perf_counter_ns() - t0)
-    return min(per_round) * config.stretch * link_bytes // (len(link) * PRICED_LINKS)
+    return min(per_round) * config.stretch * link_bytes // (priced_bytes * links)
 
 
 def mk0_stream(count: int, write=None) -> bytes | None:

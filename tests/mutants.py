@@ -123,6 +123,24 @@ MUTANTS = (
         "tests/test_conditioner.py::test_negative_floor_rejected",
     ),
     (
+        "conditioner.py",
+        "serialized = bytes(priced_bytes - DIGEST_BYTES)",
+        'serialized = b""',
+        "tests/test_conditioner.py::test_chain_price_hashes_chained_links_of_the_real_size",
+    ),
+    (
+        "conditioner.py",
+        "config.stretch * link_bytes // (priced_bytes * links)",
+        "config.stretch // links",
+        "tests/test_conditioner.py::test_chain_price_is_the_per_link_time_times_the_stretch",
+    ),
+    (
+        "conditioner.py",
+        "if not config.stretch:",
+        "if False:",
+        "tests/test_conditioner.py::test_a_chain_of_no_links_is_priced_zero_without_hashing",
+    ),
+    (
         "collector.py",
         "if not clock.monotonic or not timer_spec.monotonic:",
         "if not timer_spec.monotonic:",
@@ -205,6 +223,12 @@ MUTANTS = (
         "os.fsync(dir_fd)",
         "pass",
         "tests/test_cli.py::test_out_fsyncs_the_file_and_then_its_directory",
+    ),
+    (
+        "cli.py",
+        "contextlib.suppress(ImportError, AttributeError, OSError)",
+        "contextlib.suppress(ImportError, AttributeError)",
+        "tests/test_cli.py::test_mk0_writes_its_stream_into_a_pipe[refused]",
     ),
     (
         "cli.py",

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -1103,14 +1104,24 @@ def test_mk0_grows_the_pipe_it_writes_to():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_GETPIPE_SZ")
-@pytest.mark.parametrize("settable", [True, False], ids=["grown", "without-F_SETPIPE_SZ"])
-def test_mk0_writes_its_stream_into_a_pipe(monkeypatch, settable):
+@pytest.mark.parametrize("pipe", ["grown", "without-F_SETPIPE_SZ", "refused"])
+def test_mk0_writes_its_stream_into_a_pipe(monkeypatch, pipe):
     # 5000 digests are 160 KB, more than a default pipe holds, so mk0 waits
     # for the reader whether or not the pipe could grow.
     import fcntl
 
-    if not settable:
+    if pipe == "without-F_SETPIPE_SZ":
         monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
+    elif pipe == "refused":
+        # As for a user without CAP_SYS_RESOURCE past pipe-max-size.
+        real_fcntl = fcntl.fcntl
+
+        def refusing_fcntl(fd, cmd, *args):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                raise PermissionError(errno.EPERM, "Operation not permitted")
+            return real_fcntl(fd, cmd, *args)
+
+        monkeypatch.setattr(fcntl, "fcntl", refusing_fcntl)
     read_end, write_end = os.pipe()
     default = fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ)
     received = []
@@ -1125,7 +1136,7 @@ def test_mk0_writes_its_stream_into_a_pipe(monkeypatch, settable):
     assert not thread.is_alive()
     assert code == 0
     assert received == [mk0_stream(5000)]
-    if settable:
+    if pipe == "grown":
         assert capacity >= cli.MK0_PIPE_BYTES
     else:
         assert capacity == default

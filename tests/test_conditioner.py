@@ -4,18 +4,23 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_trace
+from jitterseed import conditioner
+from jitterseed.collector import CollectorConfig
 from jitterseed.conditioner import (
     DEFAULT_QUALITY_FLOOR,
     DIGEST_BYTES,
     MK0_CHUNK_DIGESTS,
+    PRICED_BYTES,
     condition,
     mk0_stream,
+    projected_chain_ns,
     serialize_trace,
 )
 from jitterseed.errors import InsufficientEntropyError
@@ -229,6 +234,52 @@ def test_condition_holds_one_copy_of_the_material():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * len(seed.to_bytes())
+
+
+def record_hashes(monkeypatch, on_hash=lambda: None) -> list:
+    """Record each (input, digest) that hashlib.sha256 makes, calling on_hash
+    after each."""
+    calls = []
+    real = hashlib.sha256
+
+    def sha256(data=b""):
+        h = real(data)
+        calls.append((data, h.digest()))
+        on_hash()
+        return h
+
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    return calls
+
+
+def test_chain_price_hashes_chained_links_of_the_real_size(monkeypatch):
+    calls = record_hashes(monkeypatch)
+    projected_chain_ns(CollectorConfig(samples=20, stretch=1000))
+    # Three rounds, each of as many 32 + 8 × 20-byte links as fit in PRICED_BYTES.
+    assert len(calls) == 3 * (PRICED_BYTES // 192)
+    assert all(len(data) == 192 for data, _ in calls)
+    assert all(data[:DIGEST_BYTES] == prev for (data, _), (_, prev) in zip(calls[1:], calls))
+
+
+@pytest.mark.parametrize(
+    ("samples", "link_ns"),
+    # 16380 samples make a link of twice PRICED_BYTES, priced from one of
+    # PRICED_BYTES and scaled up.
+    [(20, 1000), (16380, 2000)],
+)
+def test_chain_price_is_the_per_link_time_times_the_stretch(monkeypatch, samples, link_ns):
+    clock = [0]
+    monkeypatch.setattr(
+        conditioner, "time", types.SimpleNamespace(perf_counter_ns=lambda: clock[0])
+    )
+    record_hashes(monkeypatch, lambda: clock.__setitem__(0, clock[0] + 1000))
+    assert projected_chain_ns(CollectorConfig(samples=samples, stretch=1000)) == link_ns * 1000
+
+
+def test_a_chain_of_no_links_is_priced_zero_without_hashing(monkeypatch):
+    calls = record_hashes(monkeypatch)
+    assert projected_chain_ns(CollectorConfig(stretch=0)) == 0
+    assert calls == []
 
 
 # Six stretched self-checks in a fresh interpreter, each printing the peak RSS
