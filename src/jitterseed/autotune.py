@@ -53,6 +53,7 @@ def tune(
     Never lowers the scale. Before each probe triple the projected cost is
     checked against the remaining budget; if it does not fit, the verdict is
     `unattainable` and no seed pipeline consulting this result may proceed.
+    A floor above base.samples is `unattainable` without a probe run.
     """
     if floor < 2:
         raise ValueError(f"floor must be >= 2, got {floor}")
@@ -71,7 +72,9 @@ def tune(
     achieved = 0
     verdict = TuneVerdict.UNATTAINABLE
 
-    while True:
+    # A trace of N samples holds at most N distinct deltas, and the scale is
+    # all that tuning raises.
+    while floor <= base.samples:
         elapsed = time.perf_counter_ns() - started
         if elapsed + PROBE_RUNS_PER_SCALE * projected_ns(candidate) > budget_ns:
             break

@@ -109,42 +109,41 @@ def _byte_tables():
     equal to v. A window of at most 7 bits lies in one byte or crosses one
     boundary, so the two histograms give W(1) to W(7).
     """
-    byte = np.arange(256)
-    bits = np.unpackbits(byte.astype(np.uint8)[:, None], axis=1).astype(np.intp)
-    # zeros[b, p]: length of the run of zero bits of byte b that ends at bit
-    # p; the leading run reaches bit p when that length is p + 1.
-    zeros = np.zeros((256, 8), dtype=np.intp)
-    zeros[:, 0] = 1 - bits[:, 0]
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    # run[b, p]: length of the run of byte b that ends at bit p. The first run
+    # reaches bit p when that length is p + 1, and the last ends at bit 7.
+    run = np.ones((256, 8), dtype=np.intp)
     for p in range(1, 8):
-        zeros[:, p] = (1 - bits[:, p]) * (zeros[:, p - 1] + 1)
-    trail_zeros = zeros[:, 7]
-    lead_zeros = (zeros == np.arange(1, 9)).sum(axis=1)
-    # Xor with 0xff turns runs of ones into runs of zeros.
-    trail_codes = 8 * bits[:, 7] + trail_zeros[byte ^ (0xFF * bits[:, 7])] - 1
-    lead_codes = 8 * bits[:, 0] + lead_zeros[byte ^ (0xFF * bits[:, 0])] - 1
+        run[:, p] += (bits[:, p] == bits[:, p - 1]) * run[:, p - 1]
+    lead = (run == np.arange(1, 9)).sum(axis=1)
+    trail = run[:, 7]
+    lead_zeros = np.where(bits[:, 0], 0, lead)
+    trail_zeros = np.where(bits[:, 7], 0, trail)
 
+    # Window counts are indexed [..., bit value, window length - 1].
     window = np.arange(1, _WINDOW_BITS + 1)
-    inside_zeros = (zeros[..., None] >= window).sum(axis=1)
-    inside = np.concatenate((inside_zeros, inside_zeros[byte ^ 0xFF]), axis=1)
+    of_value = np.arange(2)[:, None]
+    # An L-bit window inside a byte ends where a run has reached L bits.
+    inside = ((bits[..., None, None] == of_value) & (run[..., None, None] >= window)).sum(axis=1)
+
+    def windows(n):
+        """The L-bit windows in a run of n bits, for L = 1 to _WINDOW_BITS."""
+        return np.maximum(n[..., None] - window + 1, 0)
 
     code = np.arange(16)
     value, length = code >> 3, (code & 7) + 1
-    joined = value[:, None] == value[None, :]
-    # A crossing window of L bits takes a >= 1 bits of the trail and
-    # L - a >= 1 of the lead.
-    taken = np.minimum(length[:, None, None], window - 1) - np.maximum(
-        1, window - length[None, :, None]
-    )
-    crossing = np.maximum(taken + 1, 0) * joined[..., None]
-    of_value = value[:, None, None, None] == np.arange(2)[:, None]
-    pairs = crossing[:, :, None, :] * of_value
+    joined = value[:, None] == value
+    joins = (length[:, None] + length) * joined
+    # A boundary's crossing windows are the joined run's less those of its two
+    # halves; there are none where trail and lead differ in value.
+    crossing = (windows(joins) - windows(length[:, None]) - windows(length)) * joined[..., None]
+    pairs = crossing[:, :, None] * (value[:, None, None, None] == of_value)
 
     # Float64 holds every window count exactly, and its BLAS product is far
     # faster than numpy's integer one.
-    table = np.concatenate((inside, pairs.reshape(256, 2 * _WINDOW_BITS))).astype(np.float64)
-    joins = ((length[:, None] + length[None, :]) * joined).reshape(256)
-    run_codes = np.stack((16 * trail_codes, lead_codes), axis=1).astype(np.uint8)
-    return run_codes, trail_zeros, lead_zeros, table, joins
+    table = np.concatenate((inside, pairs.reshape(256, 2, -1))).reshape(512, -1).astype(np.float64)
+    run_codes = np.stack((16 * (8 * bits[:, 7] + trail - 1), 8 * bits[:, 0] + lead - 1), axis=1)
+    return run_codes.astype(np.uint8), trail_zeros, lead_zeros, table, joins.reshape(256)
 
 
 # _RUN_CODES[b] holds 16 * trail code and the lead code of byte b; the bitwise or

@@ -94,6 +94,18 @@ MUTANTS = (
     ),
     (
         "fips.py",
+        "windows(joins) - windows(length[:, None]) - windows(length)",
+        "windows(joins) - windows(length)",
+        "tests/test_fips.py::test_byte_tables_match_a_count_over_bit_strings",
+    ),
+    (
+        "fips.py",
+        "8 * bits[:, 0] + lead - 1",
+        "8 * bits[:, 7] + lead - 1",
+        "tests/test_fips.py::test_byte_tables_match_a_count_over_bit_strings",
+    ),
+    (
+        "fips.py",
         "MONOBIT_LO < block_ones < MONOBIT_HI",
         "MONOBIT_LO <= block_ones <= MONOBIT_HI",
         "tests/test_fips.py::test_monobit_strict_bounds",
@@ -157,6 +169,12 @@ MUTANTS = (
         "if budget_ns <= 0:",
         "if budget_ns < 0:",
         "tests/test_autotune.py::test_validation_rejects_bad_arguments",
+    ),
+    (
+        "autotune.py",
+        "while floor <= base.samples:",
+        "while floor <= base.samples + 1:",
+        "tests/test_autotune.py::test_a_floor_above_the_samples_is_unattainable_without_probing[above]",
     ),
     (
         "autotune.py",

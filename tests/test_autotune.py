@@ -100,6 +100,26 @@ def test_tiny_budget_is_unattainable_without_probing():
     assert result.config == CollectorConfig()
 
 
+@pytest.mark.parametrize(
+    "floor, verdict, probe_runs",
+    [(5, TuneVerdict.UNATTAINABLE, 0), (4, TuneVerdict.ALREADY_ADEQUATE, PROBE_RUNS_PER_SCALE)],
+    ids=["above", "at"],
+)
+def test_a_floor_above_the_samples_is_unattainable_without_probing(floor, verdict, probe_runs):
+    # Four samples hold at most four distinct deltas, at any scale.
+    base = CollectorConfig(samples=4, scale=8)
+    result = tune(
+        base,
+        clock=ScriptedClock(delta_script([1, 2, 3, 4] * 3)),
+        timer_spec=TEST_TIMER,
+        floor=floor,
+        budget_ns=100_000_000,
+    )
+    assert result.verdict is verdict
+    assert result.probe_runs == probe_runs
+    assert result.config == base
+
+
 def test_budget_must_hold_every_probe_run_of_a_scale(monkeypatch):
     # One run fits the budget and three do not, so no run starts.
     per_run_ns = lambda config: 4_000_000_000 * config.scale // CollectorConfig.scale

@@ -31,6 +31,11 @@ from jitterseed.fips import (
     CHUNK_BLOCKS,
     LONG_RUN_BITS,
     RUN_INTERVALS,
+    _JOIN_BITS,
+    _LEAD_ZEROS,
+    _RUN_CODES,
+    _TRAIL_ZEROS,
+    _WINDOW_TABLE,
     FipsBlockResult,
     _repeated_words,
     block_csv_row,
@@ -488,6 +493,43 @@ def test_run_counts_match_loop_reference():
     for block in blocks:
         result = fips_block_tests(block)
         assert (result.run_counts, result.max_run) == loop_run_counts(block)
+
+
+def test_byte_tables_match_a_count_over_bit_strings():
+    """Every entry of the battery's byte tables, counted on the bits themselves."""
+    lengths = range(1, 8)
+    assert _WINDOW_TABLE.shape == (512, 2 * len(lengths))
+    for byte in range(256):
+        bits = f"{byte:08b}"
+        lead = 8 - len(bits.lstrip(bits[0]))
+        trail = 8 - len(bits.rstrip(bits[-1]))
+        codes = [16 * (8 * int(bits[-1]) + trail - 1), 8 * int(bits[0]) + lead - 1]
+        assert _RUN_CODES[byte].tolist() == codes
+        assert _LEAD_ZEROS[byte] == 8 - len(bits.lstrip("0"))
+        assert _TRAIL_ZEROS[byte] == 8 - len(bits.rstrip("0"))
+        inside = [
+            sum(bits[start : start + length] == value * length for start in range(9 - length))
+            for value in "01"
+            for length in lengths
+        ]
+        assert _WINDOW_TABLE[byte].tolist() == inside
+    for trail_code, lead_code in itertools.product(range(16), repeat=2):
+        trail = str(trail_code >> 3) * ((trail_code & 7) + 1)
+        lead = str(lead_code >> 3) * ((lead_code & 7) + 1)
+        joined = trail + lead
+        # A crossing window starts in the trail and ends in the lead.
+        crossing = [
+            sum(
+                joined[start : start + length] == value * length
+                for start in range(len(trail))
+                if len(trail) < start + length <= len(joined)
+            )
+            for value in "01"
+            for length in lengths
+        ]
+        pair = 16 * trail_code + lead_code
+        assert _WINDOW_TABLE[256 + pair].tolist() == crossing
+        assert _JOIN_BITS[pair] == (len(joined) if trail[0] == lead[0] else 0)
 
 
 def test_repeated_word_matches_loop_reference():
